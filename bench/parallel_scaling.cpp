@@ -20,7 +20,6 @@
 
 #include "bench_common.hpp"
 #include "compress/frame.hpp"
-#include "engine/parallel_sender.hpp"
 #include "transport/transport.hpp"
 
 namespace {
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
     adaptive::AdaptiveConfig config = base;
     config.worker_threads = workers;
     bench::CaptureTransport transport;
-    engine::ParallelSender sender(transport, config);
+    adaptive::AdaptiveSender sender(transport, config);
 
     const Seconds start = wall.now();
     sender.send_all_fixed(data, MethodId::kBurrowsWheeler);

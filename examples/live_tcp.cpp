@@ -11,6 +11,7 @@
 //   ./build/examples/live_tcp            # loopback speed: expect "none"
 //   ./build/examples/live_tcp 2          # a 2 MB/s path: expect LZ/BW
 //   ./build/examples/live_tcp 2 pipelined  # + compress-ahead overlap
+//                                          #   (worker_threads = 2)
 
 #include <cstdio>
 #include <cstdlib>
@@ -44,9 +45,10 @@ int main(int argc, char** argv) {
     adaptive::AdaptiveConfig config;
     config.initial_bandwidth_Bps =
         throttle_MBps > 0 ? throttle_MBps * 1e6 : 100e6;
+    // Two encode workers: block i+1 compresses while block i is sent.
+    config.worker_threads = pipelined ? 2 : 1;
     adaptive::AdaptiveSender sender(wire, config);
-    const auto report =
-        pipelined ? sender.send_all_pipelined(data) : sender.send_all(data);
+    const auto report = sender.send_all(data);
 
     std::printf("\nsender: %zu blocks in %.3f s wall%s\n",
                 report.blocks.size(), report.total_seconds,

@@ -60,13 +60,6 @@ StreamReport drive_stream(ByteView data, const ExperimentConfig& config,
     adaptive.async_sampling = false;
   }
   AdaptiveSender sender(scenario.duplex.a(), adaptive);
-  if (config.context_takeover) {
-    if (config.pace <= 0 && !method) return sender.send_all(data);
-    if (config.pace <= 0 && method) {
-      return sender.send_all_fixed(data, *method);
-    }
-  }
-
   StreamReport stream;
   const std::size_t block_size = adaptive.decision.block_size;
   std::size_t index = 0;
@@ -82,19 +75,9 @@ StreamReport drive_stream(ByteView data, const ExperimentConfig& config,
             ? data.subspan(next_off,
                            std::min(block_size, data.size() - next_off))
             : ByteView{};
-    stream.blocks.push_back(
-        method ? sender.send_block_fixed(data.subspan(off, len), *method)
-               : sender.send_block(data.subspan(off, len), next));
-  }
-  for (const auto& b : stream.blocks) {
-    stream.original_bytes += b.original_size;
-    stream.wire_bytes += b.wire_size;
-    stream.compress_seconds += b.compress_seconds;
-  }
-  if (!stream.blocks.empty()) {
-    stream.total_seconds =
-        stream.blocks.back().delivered - stream.blocks.front().submitted +
-        stream.blocks.front().compress_seconds;
+    stream.add(method
+                   ? sender.send_block_fixed(data.subspan(off, len), *method)
+                   : sender.send_block(data.subspan(off, len), next));
   }
   return stream;
 }

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <future>
 
-#include "compress/null_codec.hpp"
+#include "engine/block_pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/varint.hpp"
 
 namespace acex::adaptive {
 namespace {
@@ -113,29 +114,32 @@ ReceiverMetrics& receiver_metrics() {
 
 }  // namespace
 
-EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
-                          MethodId method, std::uint64_t sequence,
-                          std::size_t expansion_slack_bytes,
-                          bool allow_degrade) {
-  EncodeResult result;
+PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
+                             MethodId method,
+                             std::size_t expansion_slack_bytes,
+                             bool allow_degrade, std::uint64_t trace_block) {
+  PayloadEncode result;
   result.method = method;
   // Compress under real (monotonic) time — that is the CPU capability the
   // algorithm adapts to; the caller charges the scaled cost to whatever
   // timeline its experiment runs on.
   MonotonicClock cpu_clock;
-  const obs::ScopedSpan span(obs::BlockTracer::global(), sequence,
+  const obs::ScopedSpan span(obs::BlockTracer::global(), trace_block,
                              obs::Stage::kEncode, obs::current_worker());
   const Stopwatch cpu(cpu_clock);
+  // The frame trailer's CRC pass is sender CPU too: charged with the codec.
+  result.crc = crc32(block);
   bool degraded = false;
   try {
     const CodecPtr codec = registry.create(method);
-    result.framed = BufferView::own(frame_compress_seq(*codec, block, sequence));
+    result.payload = BufferView::own(codec->compress(block));
+    // The codec "succeeded" but its frame would be bigger than shipping
+    // the block raw — on the wire that is a failure. Framed sizes compared
+    // without the sequence varint, which both frames carry.
     if (allow_degrade && method != MethodId::kNone &&
-        result.framed.size() > block.size() +
-                                   frame_overhead_seq(block.size(), sequence) +
-                                   expansion_slack_bytes) {
-      // The codec "succeeded" but made the block bigger than shipping it
-      // raw would — on the wire that is a failure.
+        result.payload.size() + varint_size(result.payload.size()) >
+            block.size() + varint_size(block.size()) +
+                expansion_slack_bytes) {
       degraded = true;
     }
   } catch (const Error&) {
@@ -148,8 +152,9 @@ EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
     result.threw = true;
   }
   if (degraded) {
-    NullCodec null;
-    result.framed = BufferView::own(frame_compress_seq(null, block, sequence));
+    // The null codec's output IS the block: borrow it instead of copying.
+    // The caller's block outlives the PayloadEncode (struct contract).
+    result.payload = BufferView::borrow(block);
     result.method = MethodId::kNone;
     result.fallback = true;
   }
@@ -161,37 +166,27 @@ EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
   return result;
 }
 
-PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
-                             MethodId method,
-                             std::size_t expansion_slack_bytes) {
-  PayloadEncode result;
-  result.method = method;
-  MonotonicClock cpu_clock;
-  const obs::ScopedSpan span(obs::BlockTracer::global(), 0,
-                             obs::Stage::kEncode, obs::current_worker());
-  const Stopwatch cpu(cpu_clock);
-  bool degraded = false;
-  try {
-    const CodecPtr codec = registry.create(method);
-    result.payload = BufferView::own(codec->compress(block));
-    if (method != MethodId::kNone &&
-        result.payload.size() > block.size() + expansion_slack_bytes) {
-      degraded = true;
-    }
-  } catch (const Error&) {
-    degraded = true;
-    result.threw = true;
+EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
+                          MethodId method, std::uint64_t sequence,
+                          std::size_t expansion_slack_bytes,
+                          bool allow_degrade) {
+  PayloadEncode encoded = encode_payload(
+      registry, block, method, expansion_slack_bytes, allow_degrade, sequence);
+  EncodeResult result;
+  result.method = encoded.method;
+  result.fallback = encoded.fallback;
+  result.threw = encoded.threw;
+  result.encode_seconds = encoded.encode_seconds;
+  result.failure = std::move(encoded.failure);
+  if (!result.failure) {
+    // Framing (header + payload copy) is sender CPU too: charged with the
+    // encode, though it falls outside the encode span and histogram.
+    MonotonicClock cpu_clock;
+    const Stopwatch frame_cpu(cpu_clock);
+    result.framed = BufferView::own(frame_build_seq(
+        encoded.method, encoded.payload, encoded.crc, sequence));
+    result.encode_seconds += frame_cpu.elapsed();
   }
-  if (degraded) {
-    // The null codec's output IS the block: borrow it instead of copying.
-    // The caller's block outlives the PayloadEncode (struct contract).
-    result.payload = BufferView::borrow(block);
-    result.method = MethodId::kNone;
-    result.fallback = true;
-  }
-  result.encode_seconds = cpu.elapsed();
-  sender_metrics().encode_us.for_method(method).record(result.encode_seconds *
-                                                       1e6);
   return result;
 }
 
@@ -607,96 +602,84 @@ BlockReport AdaptiveSender::send_block(ByteView block, ByteView next_block) {
   return transmit_planned(plan, block);
 }
 
-void AdaptiveSender::finalize_stream(StreamReport& stream) {
-  for (const auto& b : stream.blocks) {
-    stream.original_bytes += b.original_size;
-    stream.wire_bytes += b.wire_size;
-    stream.compress_seconds += b.compress_seconds;
-  }
-  if (!stream.blocks.empty()) {
-    stream.total_seconds =
-        stream.blocks.back().delivered - stream.blocks.front().submitted +
-        stream.blocks.front().compress_seconds;
-  }
-}
-
-StreamReport AdaptiveSender::send_all(ByteView data) {
-  StreamReport stream;
-  const std::size_t block_size = config_.decision.block_size;
-  for (std::size_t off = 0; off < data.size(); off += block_size) {
-    const std::size_t len = std::min(block_size, data.size() - off);
-    const std::size_t next_off = off + len;
-    const ByteView next =
-        next_off < data.size()
-            ? data.subspan(next_off,
-                           std::min(block_size, data.size() - next_off))
-            : ByteView{};
-    stream.blocks.push_back(send_block(data.subspan(off, len), next));
-  }
-  finalize_stream(stream);
-  return stream;
-}
-
 BlockReport AdaptiveSender::send_block_fixed(ByteView block, MethodId method) {
   return transmit_planned(plan_block_fixed(block, method), block);
 }
 
-StreamReport AdaptiveSender::send_all_pipelined(ByteView data) {
-  struct Prepared {
+StreamReport AdaptiveSender::send_all(ByteView data) {
+  return send_stream(data, std::nullopt);
+}
+
+StreamReport AdaptiveSender::send_all_fixed(ByteView data, MethodId method) {
+  return send_stream(data, method);
+}
+
+StreamReport AdaptiveSender::send_stream(ByteView data,
+                                         std::optional<MethodId> fixed) {
+  const std::size_t block_size = config_.decision.block_size;
+  const auto block_at = [&](std::size_t off) {
+    return off < data.size()
+               ? data.subspan(off, std::min(block_size, data.size() - off))
+               : ByteView{};
+  };
+
+  // Above one worker, encodes fan out to the pool and completed frames are
+  // re-sequenced through a bounded reorder window. Window of 2x the
+  // workers: enough slack that a straggler block does not idle the pool,
+  // small enough that buffering stays a handful of blocks. The pool queue
+  // matches the window — the driver never outruns either.
+  const std::size_t workers =
+      engine::resolve_worker_threads(config_.worker_threads);
+  const std::size_t window = std::max<std::size_t>(2 * workers, 4);
+  if (workers > 1 && !pool_) {
+    // Workers share the registry read-only from here on; freezing makes a
+    // concurrent register_factory() a loud error instead of a data race.
+    registry_.freeze();
+    pool_ = std::make_unique<engine::ThreadPool>(workers, window);
+  }
+  struct Encoded {
     BlockPlan plan;
     std::size_t original_size = 0;
     EncodeResult encoded;
   };
+  std::optional<engine::ParallelBlockPipeline<Encoded>> pipeline;
+  if (pool_) pipeline.emplace(*pool_, window);
 
-  // Decide on the calling thread (estimator state is not thread-safe),
-  // compress on a worker so it overlaps the previous block's send. The
-  // worker runs only the thread-safe encode_block() over immutable input.
-  // For deeper overlap (many workers, bounded reorder window) use
-  // engine::ParallelSender, which drives these same hooks.
-  const auto launch = [this, data](std::size_t off) {
-    const std::size_t len =
-        std::min(config_.decision.block_size, data.size() - off);
-    const ByteView block = data.subspan(off, len);
-    // No pending async sample exists on this path, so plan_block samples
-    // inline; next_block stays empty because the encode itself is what
-    // overlaps the send here.
-    const BlockPlan plan = plan_block(block);
-    const std::size_t slack = config_.expansion_slack_bytes;
-    return std::async(std::launch::async, [this, block, plan, slack] {
-      Prepared p;
-      p.plan = plan;
-      p.original_size = block.size();
-      p.encoded = encode_block(registry_, block, plan.method, plan.sequence,
-                               slack, plan.allow_degrade);
-      return p;
-    });
+  StreamReport stream;
+  const auto finish = [&](Encoded ready) {
+    stream.add(finish_block(ready.plan, ready.original_size,
+                            std::move(ready.encoded)));
   };
-
-  StreamReport stream;
-  if (data.empty()) return stream;
-
-  std::future<Prepared> inflight = launch(0);
-  for (std::size_t off = 0; off < data.size();) {
-    Prepared p = inflight.get();
-    const std::size_t next_off = off + p.original_size;
-    if (next_off < data.size()) inflight = launch(next_off);
-    stream.blocks.push_back(
-        finish_block(p.plan, p.original_size, std::move(p.encoded)));
-    off = next_off;
-  }
-  finalize_stream(stream);
-  return stream;
-}
-
-StreamReport AdaptiveSender::send_all_fixed(ByteView data, MethodId method) {
-  StreamReport stream;
-  const std::size_t block_size = config_.decision.block_size;
   for (std::size_t off = 0; off < data.size(); off += block_size) {
-    const std::size_t len = std::min(block_size, data.size() - off);
-    stream.blocks.push_back(
-        send_block_fixed(data.subspan(off, len), method));
+    const ByteView block = block_at(off);
+    // Serial: sample + decide (adaptive) or just claim a sequence (fixed).
+    const BlockPlan plan =
+        fixed ? plan_block_fixed(block, *fixed)
+              : plan_block(block, block_at(off + block.size()));
+    if (!pipeline) {
+      stream.add(transmit_planned(plan, block));
+      continue;
+    }
+    // Keep in-flight strictly below the window before submitting: the
+    // blocking collect doubles as backpressure on planning, and it
+    // guarantees workers never block pushing into the reorder window
+    // (every live sequence stays inside it), so the single driver thread
+    // cannot deadlock against its own pipeline.
+    while (pipeline->in_flight() >= pipeline->window_capacity()) {
+      finish(pipeline->collect());
+    }
+    const std::size_t slack = config_.expansion_slack_bytes;
+    pipeline->submit([this, plan, block, slack] {
+      return Encoded{plan, block.size(),
+                     encode_block(registry_, block, plan.method, plan.sequence,
+                                  slack, plan.allow_degrade)};
+    });
+    // Opportunistic drain: ship whatever completed in order while the
+    // workers chew on the rest.
+    Encoded ready;
+    while (pipeline->try_collect(ready)) finish(std::move(ready));
   }
-  finalize_stream(stream);
+  while (pipeline && pipeline->in_flight() > 0) finish(pipeline->collect());
   return stream;
 }
 

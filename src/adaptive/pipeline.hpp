@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -13,6 +14,7 @@
 #include "adaptive/sampler.hpp"
 #include "compress/frame.hpp"
 #include "compress/registry.hpp"
+#include "engine/thread_pool.hpp"
 #include "netsim/bandwidth.hpp"
 #include "transport/retransmit.hpp"
 #include "transport/transport.hpp"
@@ -75,10 +77,14 @@ struct AdaptiveConfig {
   int retransmit_max_retries = 3;
   std::size_t retransmit_max_bytes = 0;
 
-  /// Worker threads of the parallel engine (engine::ParallelSender): 1 is
-  /// the serial path, 0 asks for one worker per hardware thread, anything
-  /// else is taken literally. AdaptiveSender itself ignores this — only
-  /// the engine reads it.
+  /// Encode workers of send_all()/send_all_fixed(): 1 encodes inline on
+  /// the calling thread and builds no thread pool; 0 asks for one worker
+  /// per hardware thread; anything else is taken literally. Above 1, block
+  /// encodes run on an engine::ThreadPool while selection and transmission
+  /// stay serial (DESIGN.md §8), so 2 overlaps the encode of block i+1
+  /// with the send of block i — the overlap the paper's alpha < 1
+  /// presumes. Per-block calls (send_block, the engine hooks) always run
+  /// inline.
   std::size_t worker_threads = 1;
 
   /// Broker mode: the transport this sender writes to is an internal
@@ -130,33 +136,11 @@ struct EncodeResult {
   std::exception_ptr failure;         ///< set iff !allow_degrade and it threw
 };
 
-/// Compress `block` with `method` and wrap it in a v2 frame carrying
-/// `sequence` — the per-block encode step, extracted so the parallel
-/// engine can run it off-thread.
-///
-/// Thread safety: touches no shared mutable state. It reads `registry`
-/// (safe concurrently once frozen — see CodecRegistry), creates a fresh
-/// codec per call (codec instances are not shareable), and writes only
-/// its result. Concurrent calls on different blocks are race-free.
-///
-/// With `allow_degrade`, a codec throw or an expanded output (framed size
-/// beyond the framed-null size plus `expansion_slack_bytes`) falls back to
-/// the null codec and is reported via `fallback`/`threw`. Without it, a
-/// codec throw is captured into `failure` instead (never thrown here, so
-/// worker threads stay exception-free).
-EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
-                          MethodId method, std::uint64_t sequence,
-                          std::size_t expansion_slack_bytes,
-                          bool allow_degrade = true);
-
-/// One shared (sequence-free) encode of a block: the codec output plus the
+/// One sequence-free encode of a block: the codec output plus the
 /// degradation verdict, WITHOUT the frame envelope. The fan-out broker runs
 /// this once per distinct method and then frames the payload once per
 /// subscriber with frame_build_seq() — byte-identical payloads across every
-/// subscriber that chose the method. The expansion check compares raw
-/// payload size against the block plus `expansion_slack_bytes` (the frame
-/// envelope around either differs by at most the size-varint width, well
-/// inside the slack).
+/// subscriber that chose the method.
 struct PayloadEncode {
   /// Codec output. Owned for real codec output; on the null/fallback path
   /// it BORROWS the input block (zero-copy), so a PayloadEncode must not
@@ -166,13 +150,42 @@ struct PayloadEncode {
   bool fallback = false;              ///< degraded to the null codec
   bool threw = false;                 ///< fallback cause: throw vs expansion
   Seconds encode_seconds = 0;         ///< raw (unscaled) wall-clock CPU time
+  std::exception_ptr failure;         ///< set iff !allow_degrade and it threw
+  std::uint32_t crc = 0;              ///< CRC-32 of the block (frame trailer)
 };
 
-/// Thread safety: identical to encode_block() — reads a frozen registry,
-/// writes only its result. Degradation is always allowed on this path.
+/// The send side's one encoder: compress `block` with `method` and CRC it,
+/// under the codec, degrade, timing and metrics rules every path shares;
+/// `encode_seconds` covers both passes.
+///
+/// Thread safety: touches no shared mutable state. It reads `registry`
+/// (safe concurrently once frozen — see CodecRegistry), creates a fresh
+/// codec per call (codec instances are not shareable), and writes only
+/// its result. Concurrent calls on different blocks are race-free.
+///
+/// With `allow_degrade`, a codec throw or an expanded output falls back to
+/// the null codec and is reported via `fallback`/`threw`. Expanded means
+/// the FRAMED output would exceed the framed null output by more than
+/// `expansion_slack_bytes`: payload + varint(payload) > block +
+/// varint(block) + slack (the sequence varint is common to both frames and
+/// cancels), so a private sender and the broker reach the same verdict.
+/// Without `allow_degrade`, a codec throw is captured into `failure`
+/// instead (never thrown here, so worker threads stay exception-free).
+/// `trace_block` keys the encode span (the frame sequence when known).
 PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
                              MethodId method,
-                             std::size_t expansion_slack_bytes);
+                             std::size_t expansion_slack_bytes,
+                             bool allow_degrade = true,
+                             std::uint64_t trace_block = 0);
+
+/// encode_payload() wrapped in a v2 frame carrying `sequence`: the
+/// per-block encode step of AdaptiveSender, run inline or on a pool
+/// worker. Same thread-safety and degradation contract as
+/// encode_payload(); `framed` stays empty when `failure` is set.
+EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
+                          MethodId method, std::uint64_t sequence,
+                          std::size_t expansion_slack_bytes,
+                          bool allow_degrade = true);
 
 /// Sender-side degradation counters (circuit breaker + NACK service),
 /// surfaced per block through adaptive/telemetry as well.
@@ -209,6 +222,18 @@ struct StreamReport {
   Seconds total_seconds = 0;        ///< first submit -> last delivery
   Seconds compress_seconds = 0;     ///< sum of (scaled) compression time
 
+  /// Append one finished block and fold it into the totals. Blocks must
+  /// arrive in stream order: the span runs from the first block's submit
+  /// (less its compression, which precedes it) to the last delivery.
+  void add(BlockReport block) {
+    original_bytes += block.original_size;
+    wire_bytes += block.wire_size;
+    compress_seconds += block.compress_seconds;
+    blocks.push_back(std::move(block));
+    total_seconds = blocks.back().delivered - blocks.front().submitted +
+                    blocks.front().compress_seconds;
+  }
+
   double compression_share() const noexcept {
     return total_seconds > 0 ? compress_seconds / total_seconds : 0.0;
   }
@@ -229,17 +254,14 @@ class AdaptiveSender {
   explicit AdaptiveSender(transport::Transport& transport,
                           AdaptiveConfig config = {});
 
-  /// Stream `data` as blocks; returns per-block reports.
+  /// Stream `data` as blocks; returns per-block reports. With
+  /// AdaptiveConfig::worker_threads > 1 the encodes run on a thread pool
+  /// and up to max(2 x workers, 4) blocks are in flight, so the selector
+  /// sees feedback up to that many blocks stale; frames still leave in
+  /// strictly increasing sequence order and the delivered payload is
+  /// byte-identical to the 1-worker run. The codec registry is frozen on
+  /// the first such send (workers read it concurrently).
   StreamReport send_all(ByteView data);
-
-  /// Stream `data` with compression overlapped against transmission: while
-  /// block i crosses the wire, block i+1 is compressed on a worker task.
-  /// This is the deployment mode the paper's alpha < 1 presumes ("the
-  /// overlap credit"); per-block decisions use the bandwidth estimate as
-  /// of launch, one block staler than send_all's. Only worthwhile on
-  /// wall-clock transports — under a VirtualClock, send() consumes no real
-  /// time and there is nothing to overlap.
-  StreamReport send_all_pipelined(ByteView data);
 
   /// Send exactly one block (at most block_size bytes). When `next_block`
   /// is non-empty and async sampling is on, its 4 KiB prefix is sampled
@@ -253,7 +275,10 @@ class AdaptiveSender {
 
   /// Force every block through one method — the paper's non-adaptive
   /// baselines ("rather than in the 29.1388 seconds it took without
-  /// compression").
+  /// compression"). Same loop and worker_threads as send_all(); the wire
+  /// stream is byte-identical at every worker count. A codec failure
+  /// surfaces on the calling thread in block order (no degradation on
+  /// baselines); blocks already in flight behind it are discarded.
   StreamReport send_all_fixed(ByteView data, MethodId method);
 
   /// Replay previously sent frames by sequence number from the bounded
@@ -276,15 +301,17 @@ class AdaptiveSender {
                                           std::uint64_t to);
 
   // --- engine hooks ----------------------------------------------------
-  // The parallel engine splits a block send into three steps so the encode
-  // can run off-thread while selection and transmission stay serial:
+  // A block send is three steps, so the encode can run off-thread while
+  // selection and transmission stay serial:
   //   1. plan_block()   — sample, decide, assign the sequence (driver
   //                       thread only; mutates estimator state);
   //   2. encode_block() — free function, any thread, no shared state;
   //   3. finish_block() — bookkeeping + wire transmission (driver thread
   //                       only, called in strictly increasing sequence
   //                       order so frames leave in order).
-  // send_block() is exactly plan → encode → finish inline.
+  // send_block() is exactly plan → encode → finish inline; send_all()
+  // runs the encode step on its pool when it has one; the broker plans
+  // with plan_block_sampled() and encodes once per method group.
 
   /// Serial selector step: sample (collecting any pending async sample),
   /// choose the method (§2.5 decision + target rate + circuit breaker),
@@ -346,12 +373,14 @@ class AdaptiveSender {
   /// plan → encode → finish on the calling thread.
   BlockReport transmit_planned(const BlockPlan& plan, ByteView block);
 
+  /// The one stream loop behind send_all() (`fixed` empty) and
+  /// send_all_fixed(): plan serially, encode inline (1 worker) or on the
+  /// pool through a bounded reorder window, finish in sequence order.
+  StreamReport send_stream(ByteView data, std::optional<MethodId> fixed);
+
   /// Shared tail of plan_block()/plan_block_sampled(): fold the sample into
   /// the estimators, run the selector, claim the sequence.
   BlockPlan plan_from_sample(ByteView block, const SampleResult& sample);
-
-  /// Sum a finished block list into the stream-level totals.
-  static void finalize_stream(StreamReport& stream);
 
   /// Demote a quarantined method down the ladder (circuit breaker open).
   MethodId apply_circuit_breaker(MethodId method) const noexcept;
@@ -409,6 +438,10 @@ class AdaptiveSender {
   std::map<MethodId, MethodHealth> health_;
   DegradationStats degradation_;
   transport::RetransmitRing ring_{64, 3};
+
+  /// Encode workers; built by the first send_stream() with more than one
+  /// worker, never at 1.
+  std::unique_ptr<engine::ThreadPool> pool_;
 };
 
 /// What the receiver does when a frame off the wire is damaged.

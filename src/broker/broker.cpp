@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace acex::broker {
@@ -105,6 +104,10 @@ FanoutBroker::~FanoutBroker() {
   // be gone before members (including the encode pool) are torn down.
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [id, sub] : subscribers_) sub->queue->close();
+  // The subscribers die with the broker: take them off the process-wide
+  // gauge, as unsubscribe() would have.
+  broker_metrics().subscribers.sub(
+      static_cast<std::int64_t>(subscribers_.size()));
 }
 
 SubscriberId FanoutBroker::subscribe(transport::Transport& transport,
@@ -171,12 +174,7 @@ void FanoutBroker::publish(ByteView block) {
   registry_.freeze();
   auto& metrics = broker_metrics();
 
-  std::vector<SubscriberPtr> subs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    subs.reserve(subscribers_.size());
-    for (const auto& [id, sub] : subscribers_) subs.push_back(sub);
-  }
+  std::vector<SubscriberPtr> subs = snapshot();
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.blocks;
@@ -295,9 +293,7 @@ void FanoutBroker::publish_chunk(ByteView block,
   // fan-out case: everyone subscribed before the first publish) produce
   // byte-identical frames, so ONE buffer — heap block or shm slab via
   // config_.frame_builder — is built and every such subscriber's egress
-  // and retransmit ring retain views of it. The CRC is of the original
-  // block — also shared.
-  const std::uint32_t crc = crc32(block);
+  // and retransmit ring retain views of it.
   std::map<std::pair<GroupKey, std::uint64_t>, BufferView> frame_cache;
   std::int64_t depth_sum = 0;
   for (auto& p : planned) {
@@ -305,10 +301,10 @@ void FanoutBroker::publish_chunk(ByteView block,
     BufferView& cached = frame_cache[{key_of(p), p.plan.sequence}];
     if (cached.empty()) {
       cached = config_.frame_builder
-                   ? config_.frame_builder(enc.method, enc.payload, crc,
-                                           p.plan.sequence)
+                   ? config_.frame_builder(enc.method, enc.payload,
+                                           enc.crc, p.plan.sequence)
                    : BufferView::own(frame_build_seq(enc.method, enc.payload,
-                                                     crc, p.plan.sequence));
+                                                     enc.crc, p.plan.sequence));
     }
     adaptive::EncodeResult encoded;
     encoded.framed = cached;  // shares the backing buffer, no copy
@@ -369,14 +365,8 @@ std::size_t FanoutBroker::pump(SubscriberId id, std::size_t max_frames) {
 }
 
 std::size_t FanoutBroker::pump_all() {
-  std::vector<SubscriberPtr> subs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    subs.reserve(subscribers_.size());
-    for (const auto& [id, sub] : subscribers_) subs.push_back(sub);
-  }
   std::size_t delivered = 0;
-  for (const auto& sub : subs) {
+  for (const auto& sub : snapshot()) {
     delivered +=
         pump_locked_free(sub, std::numeric_limits<std::size_t>::max());
   }
@@ -519,14 +509,8 @@ SubscriberMemory FanoutBroker::memory_usage(SubscriberId id) const {
 }
 
 std::size_t FanoutBroker::memory_usage_total() const {
-  std::vector<SubscriberPtr> subs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    subs.reserve(subscribers_.size());
-    for (const auto& [id, sub] : subscribers_) subs.push_back(sub);
-  }
   std::size_t total = 0;
-  for (const auto& sub : subs) {
+  for (const auto& sub : snapshot()) {
     total += sub->queue->bytes();
     std::lock_guard<std::mutex> lock(sub->sender_mutex);
     total += sub->sender->retransmit_ring().bytes();
@@ -535,17 +519,11 @@ std::size_t FanoutBroker::memory_usage_total() const {
 }
 
 std::size_t FanoutBroker::memory_usage_unique() const {
-  std::vector<SubscriberPtr> subs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    subs.reserve(subscribers_.size());
-    for (const auto& [id, sub] : subscribers_) subs.push_back(sub);
-  }
   // One seen-set threaded through every queue AND every ring: a shared-
   // encode frame held by all of them still counts once process-wide.
   std::set<const void*> seen;
   std::size_t total = 0;
-  for (const auto& sub : subs) {
+  for (const auto& sub : snapshot()) {
     total += sub->queue->bytes_unique(seen);
     std::lock_guard<std::mutex> lock(sub->sender_mutex);
     total += sub->sender->retransmit_ring().bytes_unique(seen);
@@ -612,6 +590,14 @@ FanoutBroker::SubscriberPtr FanoutBroker::find(SubscriberId id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = subscribers_.find(id);
   return it == subscribers_.end() ? nullptr : it->second;
+}
+
+std::vector<FanoutBroker::SubscriberPtr> FanoutBroker::snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<SubscriberPtr> subs;
+  subs.reserve(subscribers_.size());
+  for (const auto& [id, sub] : subscribers_) subs.push_back(sub);
+  return subs;
 }
 
 }  // namespace acex::broker

@@ -240,6 +240,10 @@ class FanoutBroker {
   using SubscriberPtr = std::shared_ptr<Subscriber>;
 
   SubscriberPtr find(SubscriberId id) const;
+  /// Copy of the current subscriber set, taken under `mutex_`; callers
+  /// work on it lock-free (a concurrent unsubscribe cannot pull a
+  /// subscriber out from under them).
+  std::vector<SubscriberPtr> snapshot() const;
   std::size_t pump_locked_free(const SubscriberPtr& sub,
                                std::size_t max_frames);
   /// One publish pass over `subs` with a chunk every member's block_size

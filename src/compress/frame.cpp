@@ -58,27 +58,18 @@ Bytes frame_compress_seq(Codec& codec, ByteView data, std::uint64_t sequence) {
 
 Bytes frame_build_seq(MethodId method, ByteView payload,
                       std::uint32_t original_crc, std::uint64_t sequence) {
-  Bytes out;
-  out.reserve(payload.size() + 24);
-  out.push_back(kMagic0);
-  out.push_back(kMagic1);
-  out.push_back(kFrameVersionSeq);
-  out.push_back(static_cast<std::uint8_t>(method));
-  put_varint(out, sequence);
-  put_varint(out, payload.size());
-  out.push_back(header_checksum(out, out.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  append_crc(out, original_crc);
+  Bytes out(frame_overhead_seq(payload.size(), sequence) + payload.size());
+  frame_build_seq_into(out.data(), method, payload, original_crc, sequence);
   return out;
 }
 
 std::size_t frame_build_seq_into(std::uint8_t* dst, MethodId method,
                                  ByteView payload, std::uint32_t original_crc,
                                  std::uint64_t sequence) {
-  // The header is tiny (<= 25 bytes); building it in a scratch vector and
-  // writing payload + trailer straight into `dst` keeps this byte-identical
-  // to frame_build_seq while making only ONE pass over the payload — the
-  // copy into the destination (a shared-memory slab on the shm path).
+  // The one v2 header writer. The header is tiny (<= 25 bytes); building it
+  // in a scratch vector and writing payload + trailer straight into `dst`
+  // makes only ONE pass over the payload — the copy into the destination
+  // (a heap frame, or a shared-memory slab on the shm path).
   Bytes head;
   head.reserve(32);
   head.push_back(kMagic0);

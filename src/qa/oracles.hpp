@@ -74,7 +74,7 @@ Verdict colpipe_survives(const Bytes& mutated, std::size_t original_hint);
 Verdict event_survives(const Bytes& mutated);
 
 /// Differential engine oracle: stream `data` through the serial
-/// AdaptiveSender and through an N-worker ParallelSender, both fixed on
+/// AdaptiveSender and through an N-worker one, both fixed on
 /// `method` over identical emulated links, and require the two wire
 /// streams to be byte-identical frame by frame AND to decode back to
 /// `data`. Returns the block count through `blocks_out` when non-null.

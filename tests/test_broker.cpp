@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "adaptive/pipeline.hpp"
 #include "broker/broker.hpp"
+#include "fixtures.hpp"
 #include "netsim/link.hpp"
 #include "obs/metrics.hpp"
 #include "testdata.hpp"
@@ -17,54 +17,9 @@
 namespace acex::broker {
 namespace {
 
-netsim::LinkParams flat(double bandwidth_Bps = 1e6) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bandwidth_Bps;
-  p.jitter_frac = 0;
-  return p;
-}
-
-/// Thread-safe frame sink for the concurrency tests (SimDuplex is
-/// single-threaded by design, so churn/blocking tests use this instead).
-class SinkTransport final : public transport::Transport {
- public:
-  void send(ByteView message) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++frames_;
-    bytes_ += message.size();
-  }
-  std::optional<Bytes> receive() override { return std::nullopt; }
-  const Clock& clock() const override { return clock_; }
-
-  std::uint64_t frames() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return frames_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::uint64_t frames_ = 0;
-  std::uint64_t bytes_ = 0;
-  MonotonicClock clock_;
-};
-
 Bytes compressible_block(std::size_t size, std::uint64_t seed) {
   return testdata::low_entropy(size, seed);
 }
-
-/// One simulated subscriber endpoint: its own duplex link pair, with the
-/// broker writing into a() and the receiver draining b().
-struct SimEndpoint {
-  explicit SimEndpoint(VirtualClock& clock, double bandwidth_Bps = 1e6,
-                       std::uint64_t seed = 1)
-      : forward(flat(bandwidth_Bps), seed),
-        reverse(flat(bandwidth_Bps), seed + 1000),
-        duplex(forward, reverse, clock) {}
-
-  netsim::SimLink forward;
-  netsim::SimLink reverse;
-  transport::SimDuplex duplex;
-};
 
 // ------------------------------------------------------- group formation
 
@@ -531,6 +486,60 @@ TEST(BrokerPolicy, EgressTimeoutCountsOnSubscriberAndStaysConnected) {
   broker.pump(id);
   EXPECT_EQ(sink.frames(), 2u);
   EXPECT_EQ(broker.retransmit(id, {1}), 1u);
+}
+
+// ------------------------------------------------------ lifecycle + rules
+
+TEST(BrokerMetrics, DestroyedBrokerReleasesSubscriberGauge) {
+  const auto gauge = [] {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+    const obs::MetricPoint* point = snap.find("acex.broker.subscribers");
+    return point ? point->gauge : std::int64_t{0};
+  };
+  const std::int64_t before = gauge();
+  SinkTransport a, b, c;
+  {
+    FanoutBroker broker;
+    for (SinkTransport* sink : {&a, &b, &c}) broker.subscribe(*sink);
+    EXPECT_EQ(gauge(), before + 3);
+  }
+  EXPECT_EQ(gauge(), before);
+}
+
+TEST(BrokerCache, ExpansionVerdictMatchesPrivateSenderAtVarintBoundary) {
+  // 16383 bytes is the largest 2-byte varint; the codec's block + slack
+  // payload needs 3. Framed, that is one byte beyond the null frame plus
+  // slack, so both paths must fall back — the broker on its shared
+  // payload, the private sender on its own frame — and agree on the bytes.
+  const Bytes block = compressible_block(16383, 41);
+  adaptive::AdaptiveConfig config;
+  config.async_sampling = false;
+  config.target_rate_Bps = 1e12;  // climb the ladder to BW
+  const auto factory = [slack = config.expansion_slack_bytes] {
+    return std::make_unique<ExpandingCodec>(slack);
+  };
+
+  CaptureTransport private_wire;
+  adaptive::AdaptiveSender sender(private_wire, config);
+  sender.registry().register_factory(MethodId::kBurrowsWheeler, factory);
+  const adaptive::StreamReport report = sender.send_all(block);
+  ASSERT_EQ(report.blocks.size(), 1u);
+  EXPECT_EQ(report.blocks[0].requested_method, MethodId::kBurrowsWheeler);
+
+  CaptureTransport broker_wire;
+  FanoutBroker broker;
+  broker.registry().register_factory(MethodId::kBurrowsWheeler, factory);
+  SubscriberConfig sub;
+  sub.adaptive = config;
+  const SubscriberId id = broker.subscribe(broker_wire, sub);
+  broker.publish(block);
+  broker.pump_all();
+
+  EXPECT_TRUE(report.blocks[0].fallback);
+  EXPECT_EQ(broker.subscriber_stats(id).fallbacks, 1u);
+  ASSERT_EQ(broker_wire.frames.size(), 1u);
+  ASSERT_EQ(private_wire.frames.size(), 1u);
+  EXPECT_EQ(broker_wire.frames[0], private_wire.frames[0]);
 }
 
 }  // namespace

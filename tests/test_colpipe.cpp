@@ -13,7 +13,7 @@
 #include "compress/frame.hpp"
 #include "compress/registry.hpp"
 #include "compress/zlib_codec.hpp"
-#include "engine/parallel_sender.hpp"
+#include "fixtures.hpp"
 #include "net/handshake.hpp"
 #include "netsim/link.hpp"
 #include "pbio/columnar.hpp"
@@ -350,14 +350,6 @@ adaptive::AdaptiveConfig fixed_config(std::size_t block_size) {
   return config;
 }
 
-netsim::LinkParams flat(double bandwidth_Bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bandwidth_Bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
-
 std::vector<Bytes> drain(transport::SimHalf& endpoint) {
   std::vector<Bytes> frames;
   while (auto frame = endpoint.receive()) frames.push_back(std::move(*frame));
@@ -384,27 +376,24 @@ TEST(ColpipeIdentity, BrokerSharedEncodeMatchesSerialWire) {
   const Bytes block = txn.pbio_block(800);
   const std::size_t block_size = 128 * 1024;
 
-  VirtualClock serial_clock;
-  netsim::SimLink sf(flat(1e8), 1), sr(flat(1e9), 2);
-  transport::SimDuplex serial_duplex(sf, sr, serial_clock);
-  adaptive::AdaptiveSender serial(serial_duplex.a(), fixed_config(block_size));
+  SimWire serial_link(1e8);
+  adaptive::AdaptiveSender serial(serial_link.duplex.a(),
+                                  fixed_config(block_size));
   register_columnar(serial.registry());
   serial.send_all_fixed(block, MethodId::kColumnar);
-  const std::vector<Bytes> serial_wire = drain(serial_duplex.b());
+  const std::vector<Bytes> serial_wire = drain(serial_link.duplex.b());
   ASSERT_EQ(serial_wire.size(), 1u);
 
-  VirtualClock broker_clock;
-  netsim::SimLink bf(flat(1e8), 1), br(flat(1e9), 2);
-  transport::SimDuplex broker_duplex(bf, br, broker_clock);
+  SimWire broker_link(1e8);
   broker::FanoutBroker broker;
   register_columnar(broker.registry());
   broker::SubscriberConfig sub;
   sub.adaptive = fixed_config(block_size);
   sub.adaptive.method_governor = [](MethodId) { return MethodId::kColumnar; };
-  broker.subscribe(broker_duplex.a(), sub);
+  broker.subscribe(broker_link.duplex.a(), sub);
   broker.publish(block);
   broker.pump_all();
-  const std::vector<Bytes> broker_wire = drain(broker_duplex.b());
+  const std::vector<Bytes> broker_wire = drain(broker_link.duplex.b());
   ASSERT_EQ(broker_wire.size(), 1u);
 
   EXPECT_EQ(broker_wire[0], serial_wire[0])

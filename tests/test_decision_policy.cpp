@@ -11,7 +11,7 @@
 
 #include "adaptive/experiment.hpp"
 #include "adaptive/pipeline.hpp"
-#include "engine/parallel_sender.hpp"
+#include "fixtures.hpp"
 #include "netsim/link.hpp"
 #include "netsim/load_trace.hpp"
 #include "transport/sim_transport.hpp"
@@ -337,14 +337,6 @@ TEST(DecisionEnergyProxy, WeightsShiftTheChoice) {
 
 // ------------------------------------------------ cross-path determinism
 
-netsim::LinkParams flat_link(double bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
-
 AdaptiveConfig policy_config(DecisionPolicy policy, std::size_t workers) {
   AdaptiveConfig config;
   config.async_sampling = false;
@@ -371,23 +363,18 @@ TEST(DecisionPolicyPaths, SerialAndParallelPickIdenticalMethods) {
   workloads::TransactionGenerator gen(11);
   const Bytes data = gen.text_block(32 * 4096);
   for (const DecisionPolicy policy : all_policies()) {
-    VirtualClock serial_clock;
-    netsim::SimLink sf(flat_link(1e6), 1), sr(flat_link(1e9), 2);
-    transport::SimDuplex serial_duplex(sf, sr, serial_clock);
-    AdaptiveSender serial(serial_duplex.a(), policy_config(policy, 1));
+    SimWire serial_wire(1e6);
+    AdaptiveSender serial(serial_wire.duplex.a(), policy_config(policy, 1));
     const auto serial_methods = methods_of(serial.send_all(data));
 
-    VirtualClock parallel_clock;
-    netsim::SimLink pf(flat_link(1e6), 1), pr(flat_link(1e9), 2);
-    transport::SimDuplex parallel_duplex(pf, pr, parallel_clock);
-    engine::ParallelSender parallel(parallel_duplex.a(),
-                                    policy_config(policy, 4));
+    SimWire parallel_wire(1e6);
+    AdaptiveSender parallel(parallel_wire.duplex.a(), policy_config(policy, 4));
     const auto parallel_methods = methods_of(parallel.send_all(data));
 
     EXPECT_EQ(serial_methods, parallel_methods)
         << "policy " << policy_name(policy)
         << " diverged between serial and parallel paths";
-    AdaptiveReceiver receiver(parallel_duplex.b());
+    AdaptiveReceiver receiver(parallel_wire.duplex.b());
     EXPECT_EQ(receiver.receive_available(), data);
   }
 }
@@ -400,13 +387,9 @@ TEST(DecisionPolicyPaths, SharedSamplePlansMatchInlinePlans) {
   const Bytes data = gen.text_block(16 * 4096);
   const Sampler sampler(1024);
   for (const DecisionPolicy policy : all_policies()) {
-    VirtualClock clock_a, clock_b;
-    netsim::SimLink fa(flat_link(1e6), 1), ra(flat_link(1e9), 2);
-    netsim::SimLink fb(flat_link(1e6), 1), rb(flat_link(1e9), 2);
-    transport::SimDuplex duplex_a(fa, ra, clock_a);
-    transport::SimDuplex duplex_b(fb, rb, clock_b);
-    AdaptiveSender inline_sender(duplex_a.a(), policy_config(policy, 1));
-    AdaptiveSender shared_sender(duplex_b.a(), policy_config(policy, 1));
+    SimWire wire_a(1e6), wire_b(1e6);
+    AdaptiveSender inline_sender(wire_a.duplex.a(), policy_config(policy, 1));
+    AdaptiveSender shared_sender(wire_b.duplex.a(), policy_config(policy, 1));
     for (std::size_t off = 0; off < data.size(); off += 4096) {
       const ByteView block = ByteView(data).subspan(off, 4096);
       const BlockPlan inline_plan = inline_sender.plan_block(block);
@@ -437,19 +420,15 @@ TEST(DecisionPolicyPaths, SubscribersWithDistinctPoliciesDiverge) {
   const Bytes data = gen.e4m3_block(16 * 4096);
   const Sampler sampler(1024);
 
-  VirtualClock clock_a, clock_b;
-  netsim::SimLink fa(flat_link(5e7), 1), ra(flat_link(1e9), 2);
-  netsim::SimLink fb(flat_link(5e7), 1), rb(flat_link(1e9), 2);
-  transport::SimDuplex duplex_a(fa, ra, clock_a);
-  transport::SimDuplex duplex_b(fb, rb, clock_b);
+  SimWire wire_a(5e7), wire_b(5e7);
   AdaptiveConfig bandwidth_config =
       policy_config(DecisionPolicy::kBandwidth, 1);
   bandwidth_config.initial_bandwidth_Bps = 5e7;
   AdaptiveConfig efficiency_config =
       policy_config(DecisionPolicy::kCpuEfficiency, 1);
   efficiency_config.initial_bandwidth_Bps = 5e7;
-  AdaptiveSender bandwidth_sub(duplex_a.a(), bandwidth_config);
-  AdaptiveSender efficiency_sub(duplex_b.a(), efficiency_config);
+  AdaptiveSender bandwidth_sub(wire_a.duplex.a(), bandwidth_config);
+  AdaptiveSender efficiency_sub(wire_b.duplex.a(), efficiency_config);
 
   std::size_t divergent = 0;
   for (std::size_t off = 0; off < data.size(); off += 4096) {

@@ -2,6 +2,7 @@
 
 #include "echo/bridge.hpp"
 #include "echo/bus.hpp"
+#include "fixtures.hpp"
 #include "netsim/link.hpp"
 #include "testdata.hpp"
 #include "transport/sim_transport.hpp"
@@ -400,16 +401,9 @@ TEST(EventBus, RemoveSourceDuringDerivedControlSignalIsSafe) {
 
 class BridgeTest : public ::testing::Test {
  protected:
-  static netsim::LinkParams flat() {
-    netsim::LinkParams p;
-    p.bandwidth_Bps = 1e6;
-    p.jitter_frac = 0;
-    return p;
-  }
-
   VirtualClock clock_;
-  netsim::SimLink forward_{flat(), 1};
-  netsim::SimLink reverse_{flat(), 2};
+  netsim::SimLink forward_{flat_link(), 1};
+  netsim::SimLink reverse_{flat_link(), 2};
   transport::SimDuplex duplex_{forward_, reverse_, clock_};
 };
 

@@ -1,23 +1,22 @@
 // Parallel compression engine (DESIGN.md §8): ThreadPool bounded-queue
 // semantics, ReorderWindow ordered delivery + backpressure,
 // ParallelBlockPipeline resequencing under adversarial completion order,
-// and the ParallelSender facade — serial-equivalent output, strictly
-// ordered frames on the wire, registry freezing, and the 8-worker ×
-// 500-block mixed-workload stress run over a faulty transport.
+// and AdaptiveSender's multi-worker stream loop — serial-equivalent
+// output, strictly ordered frames on the wire, registry freezing, and the
+// 8-worker × 500-block mixed-workload stress run over a faulty transport.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "adaptive/pipeline.hpp"
 #include "compress/frame.hpp"
 #include "engine/block_pipeline.hpp"
-#include "engine/parallel_sender.hpp"
+#include "fixtures.hpp"
 #include "engine/reorder_window.hpp"
 #include "engine/thread_pool.hpp"
 #include "netsim/link.hpp"
@@ -32,7 +31,6 @@ namespace acex {
 namespace {
 
 using engine::ParallelBlockPipeline;
-using engine::ParallelSender;
 using engine::ReorderWindow;
 using engine::ThreadPool;
 
@@ -281,15 +279,7 @@ TEST(EngineRegistry, ConcurrentCreateOnFrozenRegistryIsSafe) {
   EXPECT_EQ(created.load(), 8 * 50);
 }
 
-// ------------------------------------------------------- ParallelSender
-
-netsim::LinkParams flat_link(double bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
+// ------------------------------------------- multi-worker AdaptiveSender
 
 adaptive::AdaptiveConfig engine_config(std::size_t workers) {
   adaptive::AdaptiveConfig config;
@@ -320,59 +310,46 @@ Bytes mixed_workload(std::size_t blocks, std::size_t block_size) {
   return data;
 }
 
-class ParallelSenderTest : public ::testing::Test {
- protected:
-  void wire(double bps = 1e8) {
-    forward_.emplace(flat_link(bps), 1);
-    reverse_.emplace(flat_link(1e9), 2);
-    duplex_.emplace(*forward_, *reverse_, clock_);
-  }
+/// What the 1-worker sender delivers for `data` over a clean link.
+Bytes serial_payload(const Bytes& data) {
+  SimWire wire(1e8);
+  adaptive::AdaptiveSender serial(wire.duplex.a(), engine_config(1));
+  serial.send_all(data);
+  return adaptive::AdaptiveReceiver(wire.duplex.b()).receive_available();
+}
 
-  VirtualClock clock_;
-  std::optional<netsim::SimLink> forward_, reverse_;
-  std::optional<transport::SimDuplex> duplex_;
-};
+using ParallelSenderTest = SimWireTest;
 
 TEST_F(ParallelSenderTest, SingleWorkerDelegatesToSerialPath) {
-  wire();
-  ParallelSender sender(duplex_->a(), engine_config(1));
-  EXPECT_EQ(sender.worker_count(), 1u);
+  wire(1e8);
+  adaptive::AdaptiveSender sender(duplex_->a(), engine_config(1));
   const Bytes data = mixed_workload(8, 4096);
   const auto stream = sender.send_all(data);
   EXPECT_EQ(stream.blocks.size(), 8u);
-  // Serial path never freezes the registry.
-  EXPECT_FALSE(sender.sender().registry().frozen());
+  // The serial path builds no pool, so it never freezes the registry.
+  EXPECT_FALSE(sender.registry().frozen());
   adaptive::AdaptiveReceiver receiver(duplex_->b());
   EXPECT_EQ(receiver.receive_available(), data);
 }
 
 TEST_F(ParallelSenderTest, ParallelPayloadMatchesSerialByteForByte) {
   const Bytes data = mixed_workload(32, 4096);
-
-  // Serial reference.
-  VirtualClock serial_clock;
-  netsim::SimLink sf(flat_link(1e8), 1), sr(flat_link(1e9), 2);
-  transport::SimDuplex serial_duplex(sf, sr, serial_clock);
-  adaptive::AdaptiveSender serial(serial_duplex.a(), engine_config(1));
-  serial.send_all(data);
-  adaptive::AdaptiveReceiver serial_rx(serial_duplex.b());
-  const Bytes serial_payload = serial_rx.receive_available();
-  ASSERT_EQ(serial_payload, data);
+  const Bytes serial = serial_payload(data);
+  ASSERT_EQ(serial, data);
 
   // Parallel run, 4 workers.
-  wire();
-  ParallelSender parallel(duplex_->a(), engine_config(4));
-  EXPECT_EQ(parallel.worker_count(), 4u);
+  wire(1e8);
+  adaptive::AdaptiveSender parallel(duplex_->a(), engine_config(4));
   const auto stream = parallel.send_all(data);
   EXPECT_EQ(stream.blocks.size(), 32u);
-  EXPECT_TRUE(parallel.sender().registry().frozen());
+  EXPECT_TRUE(parallel.registry().frozen());
   adaptive::AdaptiveReceiver receiver(duplex_->b());
-  EXPECT_EQ(receiver.receive_available(), serial_payload);
+  EXPECT_EQ(receiver.receive_available(), serial);
 }
 
 TEST_F(ParallelSenderTest, FramesLeaveInStrictlyIncreasingSequenceOrder) {
-  wire();
-  ParallelSender sender(duplex_->a(), engine_config(4));
+  wire(1e8);
+  adaptive::AdaptiveSender sender(duplex_->a(), engine_config(4));
   const Bytes data = mixed_workload(40, 4096);
   sender.send_all(data);
 
@@ -387,8 +364,8 @@ TEST_F(ParallelSenderTest, FramesLeaveInStrictlyIncreasingSequenceOrder) {
 }
 
 TEST_F(ParallelSenderTest, ReportsMatchBlockOrderAndSizes) {
-  wire();
-  ParallelSender sender(duplex_->a(), engine_config(4));
+  wire(1e8);
+  adaptive::AdaptiveSender sender(duplex_->a(), engine_config(4));
   const Bytes data = mixed_workload(16, 4096);
   const auto stream = sender.send_all(data);
   ASSERT_EQ(stream.blocks.size(), 16u);
@@ -401,8 +378,8 @@ TEST_F(ParallelSenderTest, ReportsMatchBlockOrderAndSizes) {
 }
 
 TEST_F(ParallelSenderTest, FixedMethodRoundTripsAndStaysFixed) {
-  wire();
-  ParallelSender sender(duplex_->a(), engine_config(4));
+  wire(1e8);
+  adaptive::AdaptiveSender sender(duplex_->a(), engine_config(4));
   const Bytes data = mixed_workload(12, 4096);
   const auto stream =
       sender.send_all_fixed(data, MethodId::kBurrowsWheeler);
@@ -415,20 +392,13 @@ TEST_F(ParallelSenderTest, FixedMethodRoundTripsAndStaysFixed) {
   EXPECT_EQ(receiver.receive_available(), data);
 }
 
-/// Always-throwing codec (mirrors test_fault's): worker-side failures on
-/// the no-degradation baseline path must surface on the driver thread.
-class ThrowingCodec final : public Codec {
- public:
-  MethodId id() const noexcept override { return MethodId::kBurrowsWheeler; }
-  Bytes compress(ByteView) override { throw DecodeError("codec exploded"); }
-  Bytes decompress(ByteView) override { throw DecodeError("codec exploded"); }
-};
-
+// Worker-side failures on the no-degradation baseline path must surface
+// on the driver thread.
 TEST_F(ParallelSenderTest, FixedSendPropagatesWorkerCodecFailure) {
-  wire();
+  wire(1e8);
   auto config = engine_config(4);
-  ParallelSender sender(duplex_->a(), config);
-  sender.sender().registry().register_factory(
+  adaptive::AdaptiveSender sender(duplex_->a(), config);
+  sender.registry().register_factory(
       MethodId::kBurrowsWheeler, [] { return std::make_unique<ThrowingCodec>(); });
   const Bytes data = mixed_workload(8, 4096);
   EXPECT_THROW(sender.send_all_fixed(data, MethodId::kBurrowsWheeler),
@@ -436,13 +406,13 @@ TEST_F(ParallelSenderTest, FixedSendPropagatesWorkerCodecFailure) {
 }
 
 TEST_F(ParallelSenderTest, AdaptiveSendDegradesInsteadOfThrowing) {
-  wire();
-  ParallelSender sender(duplex_->a(), engine_config(4));
-  sender.sender().registry().register_factory(
+  wire(1e8);
+  adaptive::AdaptiveSender sender(duplex_->a(), engine_config(4));
+  sender.registry().register_factory(
       MethodId::kBurrowsWheeler, [] { return std::make_unique<ThrowingCodec>(); });
-  sender.sender().registry().register_factory(
+  sender.registry().register_factory(
       MethodId::kLempelZiv, [] { return std::make_unique<ThrowingCodec>(); });
-  sender.sender().registry().register_factory(
+  sender.registry().register_factory(
       MethodId::kHuffman, [] { return std::make_unique<ThrowingCodec>(); });
   const Bytes data = mixed_workload(10, 4096);
   const auto stream = sender.send_all(data);  // must not throw
@@ -452,8 +422,8 @@ TEST_F(ParallelSenderTest, AdaptiveSendDegradesInsteadOfThrowing) {
 }
 
 TEST_F(ParallelSenderTest, EmptyStreamIsANoOp) {
-  wire();
-  ParallelSender sender(duplex_->a(), engine_config(4));
+  wire(1e8);
+  adaptive::AdaptiveSender sender(duplex_->a(), engine_config(4));
   const auto stream = sender.send_all(Bytes{});
   EXPECT_TRUE(stream.blocks.empty());
   EXPECT_FALSE(duplex_->b().receive().has_value());
@@ -462,33 +432,26 @@ TEST_F(ParallelSenderTest, EmptyStreamIsANoOp) {
 // --------------------------------------------------- concurrency stress
 
 // Satellite acceptance: 8 workers × 500 blocks of mixed molecular +
-// transactional data through ParallelSender over a FaultInjectingTransport
-// (reorders + duplicates — nothing destroyed), asserting byte-identical
-// reassembly versus the serial path and zero sequence gaps.
+// transactional data through an 8-worker AdaptiveSender over a
+// FaultInjectingTransport (reorders + duplicates — nothing destroyed),
+// asserting byte-identical reassembly versus the serial path and zero
+// sequence gaps.
 TEST_F(ParallelSenderTest, StressEightWorkers500BlocksOverFaultyTransport) {
   constexpr std::size_t kBlocks = 500;
   constexpr std::size_t kBlockSize = 4096;
   const Bytes data = mixed_workload(kBlocks, kBlockSize);
 
-  // Serial reference over a clean link.
-  VirtualClock serial_clock;
-  netsim::SimLink sf(flat_link(1e8), 1), sr(flat_link(1e9), 2);
-  transport::SimDuplex serial_duplex(sf, sr, serial_clock);
-  adaptive::AdaptiveSender serial(serial_duplex.a(), engine_config(1));
-  serial.send_all(data);
-  adaptive::AdaptiveReceiver serial_rx(serial_duplex.b());
-  const Bytes serial_payload = serial_rx.receive_available();
-  ASSERT_EQ(serial_payload, data);
+  const Bytes serial = serial_payload(data);  // over a clean link
+  ASSERT_EQ(serial, data);
 
   // Parallel run over a reordering, duplicating link.
-  wire();
+  wire(1e8);
   transport::FaultConfig faults;
   faults.reorder_prob = 0.10;
   faults.duplicate_prob = 0.05;
   faults.seed = 11;
   transport::FaultInjectingTransport lossy(duplex_->a(), faults);
-  ParallelSender sender(lossy, engine_config(8));
-  EXPECT_EQ(sender.worker_count(), 8u);
+  adaptive::AdaptiveSender sender(lossy, engine_config(8));
   const auto stream = sender.send_all(data);
   EXPECT_EQ(stream.blocks.size(), kBlocks);
   lossy.flush();
@@ -501,7 +464,7 @@ TEST_F(ParallelSenderTest, StressEightWorkers500BlocksOverFaultyTransport) {
   EXPECT_EQ(report.gaps.size(), 0u) << "sequence gaps after reassembly";
   EXPECT_EQ(report.frames_corrupt, 0u);
   EXPECT_EQ(report.frames_ok, kBlocks);
-  EXPECT_EQ(report.data, serial_payload) << "reassembly diverged from serial";
+  EXPECT_EQ(report.data, serial) << "reassembly diverged from serial";
   EXPECT_EQ(report.data, data);
 }
 

@@ -17,7 +17,7 @@
 #include "compress/frame.hpp"
 #include "compress/null_codec.hpp"
 #include "echo/bridge.hpp"
-#include "netsim/link.hpp"
+#include "fixtures.hpp"
 #include "testdata.hpp"
 #include "transport/fault_transport.hpp"
 #include "transport/retransmit.hpp"
@@ -28,46 +28,8 @@
 namespace acex {
 namespace {
 
-netsim::LinkParams flat_link(double bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
-
-/// Always-throwing codec: what a buggy or resource-starved method looks
-/// like to the sender. Registered under kBurrowsWheeler in breaker tests.
-class ThrowingCodec final : public Codec {
- public:
-  MethodId id() const noexcept override { return MethodId::kBurrowsWheeler; }
-  Bytes compress(ByteView) override { throw DecodeError("codec exploded"); }
-  Bytes decompress(ByteView) override { throw DecodeError("codec exploded"); }
-};
-
-/// "Compressor" that expands every input — the other degradation trigger.
-class ExpandingCodec final : public Codec {
- public:
-  MethodId id() const noexcept override { return MethodId::kBurrowsWheeler; }
-  Bytes compress(ByteView input) override {
-    Bytes out(input.begin(), input.end());
-    out.resize(out.size() + 4096, 0xEE);
-    return out;
-  }
-  Bytes decompress(ByteView input) override {
-    if (input.size() < 4096) throw DecodeError("short expanded payload");
-    return Bytes(input.begin(), input.end() - 4096);
-  }
-};
-
-class FaultTest : public ::testing::Test {
+class FaultTest : public SimWireTest {
  protected:
-  void wire(double bps = 1e6) {
-    forward_.emplace(flat_link(bps), 1);
-    reverse_.emplace(flat_link(1e9), 2);
-    duplex_.emplace(*forward_, *reverse_, clock_);
-  }
-
   static adaptive::AdaptiveConfig small_blocks() {
     adaptive::AdaptiveConfig config;
     config.async_sampling = false;  // deterministic
@@ -75,10 +37,6 @@ class FaultTest : public ::testing::Test {
     config.decision.sample_size = 1024;
     return config;
   }
-
-  VirtualClock clock_;
-  std::optional<netsim::SimLink> forward_, reverse_;
-  std::optional<transport::SimDuplex> duplex_;
 };
 
 // ------------------------------------------- FaultInjectingTransport
@@ -509,6 +467,7 @@ TEST_F(FaultTest, PipelinedSendDegradesSafely) {
   wire(100e3);
   adaptive::AdaptiveConfig config = small_blocks();
   config.target_rate_Bps = 1e12;
+  config.worker_threads = 2;  // encodes run on pool workers
   adaptive::AdaptiveSender sender(duplex_->a(), config);
   sender.registry().register_factory(
       MethodId::kBurrowsWheeler, [] { return CodecPtr(new ThrowingCodec); });
@@ -516,7 +475,7 @@ TEST_F(FaultTest, PipelinedSendDegradesSafely) {
                                 {adaptive::RecoveryPolicy::kSkip, 3});
 
   const Bytes data = testdata::repetitive_text(8 * 4096, 24);
-  const adaptive::StreamReport report = sender.send_all_pipelined(data);
+  const adaptive::StreamReport report = sender.send_all(data);
   ASSERT_EQ(report.blocks.size(), 8u);
   EXPECT_GE(sender.degradation().codec_failures, 3u);
   EXPECT_GE(sender.degradation().quarantines, 1u);
@@ -615,15 +574,8 @@ TEST_F(FaultTest, NackRecoversEveryBlockWithinRetryCap) {
   ASSERT_EQ(sender.send_all(data).blocks.size(), kBlocks);
   lossy.flush();
 
-  std::map<std::uint64_t, Bytes> recovered;
-  const auto absorb = [&](const adaptive::ReceiveReport& report) {
-    for (const adaptive::FrameOutcome& f : report.frames) {
-      if (f.status == adaptive::FrameOutcome::Status::kOk) {
-        recovered.emplace(f.sequence, f.data);
-      }
-    }
-  };
-  absorb(rx.receive_report());
+  RecoveredFrames recovered;
+  recovered.absorb(rx.receive_report());
 
   // The NACK loop: faults stay ON — retransmits run the same gauntlet.
   for (int round = 0; round < 8; ++round) {
@@ -631,7 +583,7 @@ TEST_F(FaultTest, NackRecoversEveryBlockWithinRetryCap) {
     if (nacks.empty()) break;
     sender.retransmit(nacks);
     lossy.flush();
-    absorb(rx.receive_report());
+    recovered.absorb(rx.receive_report());
   }
 
   ASSERT_EQ(recovered.size(), kBlocks);  // 100% of blocks, within the caps
@@ -667,14 +619,7 @@ TEST_F(FaultTest, NackReplayInterleavedWithFreshTrafficConverges) {
 
   constexpr std::size_t kBatches = 6, kBlocksPerBatch = 24, kBlockSize = 4096;
   Bytes everything;
-  std::map<std::uint64_t, Bytes> recovered;
-  const auto absorb = [&](const adaptive::ReceiveReport& report) {
-    for (const adaptive::FrameOutcome& f : report.frames) {
-      if (f.status == adaptive::FrameOutcome::Status::kOk) {
-        recovered.emplace(f.sequence, f.data);
-      }
-    }
-  };
+  RecoveredFrames recovered;
 
   bool replayed_midstream = false;
   for (std::size_t batch = 0; batch < kBatches; ++batch) {
@@ -683,7 +628,7 @@ TEST_F(FaultTest, NackReplayInterleavedWithFreshTrafficConverges) {
     everything.insert(everything.end(), data.begin(), data.end());
     ASSERT_EQ(sender.send_all(data).blocks.size(), kBlocksPerBatch);
     lossy.flush();
-    absorb(rx.receive_report());
+    recovered.absorb(rx.receive_report());
     const std::vector<std::uint64_t> nacks = rx.take_nacks();
     if (!nacks.empty()) {
       // Deliberately no flush here: these replays ride alongside the next
@@ -697,7 +642,7 @@ TEST_F(FaultTest, NackReplayInterleavedWithFreshTrafficConverges) {
   // Drain: plain NACK rounds until the stream is whole.
   for (int round = 0; round < 12; ++round) {
     lossy.flush();
-    absorb(rx.receive_report());
+    recovered.absorb(rx.receive_report());
     const std::vector<std::uint64_t> nacks = rx.take_nacks();
     if (nacks.empty()) break;
     sender.retransmit(nacks);

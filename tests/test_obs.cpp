@@ -14,7 +14,7 @@
 
 #include "adaptive/pipeline.hpp"
 #include "adaptive/telemetry.hpp"
-#include "engine/parallel_sender.hpp"
+#include "fixtures.hpp"
 #include "netsim/link.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -505,24 +505,11 @@ TEST(ObsRetransmitRing, EvictionUnderPressureMirrorsObsCounters) {
             ring.refusals());
 }
 
-/// Wall-clock sink for the rate limiter (it sleeps the calling thread).
-class WallClockSink final : public transport::Transport {
- public:
-  void send(ByteView message) override { bytes_ += message.size(); }
-  std::optional<Bytes> receive() override { return std::nullopt; }
-  const Clock& clock() const override { return clock_; }
-  std::size_t bytes() const noexcept { return bytes_; }
-
- private:
-  MonotonicClock clock_;
-  std::size_t bytes_ = 0;
-};
-
 TEST(ObsRateLimit, ThrottleAndBytePathsFeedObsCounters) {
   const std::uint64_t bytes0 = global_counter("acex.transport.limit.bytes");
   const std::uint64_t thr0 = global_counter("acex.transport.limit.throttles");
 
-  WallClockSink sink;
+  SinkTransport sink;  // wall clock: the limiter sleeps the caller
   // Deficit bucket at 1 MiB/s with a 1 KiB burst: send one spends the
   // burst, send two drives the balance negative, so send three must wait
   // ~1 ms for the deficit to refill — that's the throttle path.
@@ -572,7 +559,7 @@ TEST(ObsEndToEnd, EightWorkerStreamMatchesTransportCountersExactly) {
   config.worker_threads = 8;
   config.retransmit_capacity = 64;
   config.retransmit_max_retries = 4;
-  engine::ParallelSender sender(lossy, config);
+  adaptive::AdaptiveSender sender(lossy, config);
   adaptive::AdaptiveReceiver rx(duplex.b(),
                                 {adaptive::RecoveryPolicy::kNack, 4});
 
@@ -583,23 +570,16 @@ TEST(ObsEndToEnd, EightWorkerStreamMatchesTransportCountersExactly) {
   const adaptive::StreamReport stream = sender.send_all(data);
   lossy.flush();
 
-  std::map<std::uint64_t, Bytes> recovered;
-  const auto absorb = [&](const adaptive::ReceiveReport& report) {
-    for (const adaptive::FrameOutcome& f : report.frames) {
-      if (f.status == adaptive::FrameOutcome::Status::kOk) {
-        recovered.emplace(f.sequence, f.data);
-      }
-    }
-  };
-  absorb(rx.receive_report());
+  RecoveredFrames recovered;
+  recovered.absorb(rx.receive_report());
   std::uint64_t nacks_issued = 0;
   for (int round = 0; round < 16; ++round) {
     const std::vector<std::uint64_t> nacks = rx.take_nacks();
     if (nacks.empty()) break;
     nacks_issued += nacks.size();
-    sender.sender().retransmit(nacks);
+    sender.retransmit(nacks);
     lossy.flush();
-    absorb(rx.receive_report());
+    recovered.absorb(rx.receive_report());
   }
   EXPECT_EQ(recovered.size(), stream.blocks.size());
 

@@ -7,6 +7,7 @@
 
 #include "adaptive/experiment.hpp"
 #include "adaptive/pipeline.hpp"
+#include "fixtures.hpp"
 #include "netsim/load_trace.hpp"
 #include "testdata.hpp"
 #include "transport/sim_transport.hpp"
@@ -17,32 +18,13 @@
 namespace acex::adaptive {
 namespace {
 
-netsim::LinkParams flat_link(double bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
-
 AdaptiveConfig sync_config() {
   AdaptiveConfig config;
   config.async_sampling = false;  // deterministic
   return config;
 }
 
-class PipelineTest : public ::testing::Test {
- protected:
-  void wire(double bps) {
-    forward_.emplace(flat_link(bps), 1);
-    reverse_.emplace(flat_link(1e9), 2);
-    duplex_.emplace(*forward_, *reverse_, clock_);
-  }
-
-  VirtualClock clock_;
-  std::optional<netsim::SimLink> forward_, reverse_;
-  std::optional<transport::SimDuplex> duplex_;
-};
+using PipelineTest = SimWireTest;
 
 TEST_F(PipelineTest, RoundTripsDataExactly) {
   wire(1e6);

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
+#include "fixtures.hpp"
 #include "netsim/link.hpp"
 #include "qa/chaos.hpp"
 #include "session/budget.hpp"
@@ -19,51 +19,6 @@
 
 namespace acex::session {
 namespace {
-
-/// Thread-safe frame sink: egress accumulation tests never pump it, the
-/// recovery tests pump into it and only care that frames left the queue.
-class SinkTransport final : public transport::Transport {
- public:
-  void send(ByteView message) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++frames_;
-    bytes_ += message.size();
-  }
-  std::optional<Bytes> receive() override { return std::nullopt; }
-  const Clock& clock() const override { return clock_; }
-
-  std::uint64_t frames() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return frames_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::uint64_t frames_ = 0;
-  std::uint64_t bytes_ = 0;
-  MonotonicClock clock_;
-};
-
-netsim::LinkParams flat(double bandwidth_Bps = 1e6) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bandwidth_Bps;
-  p.jitter_frac = 0;
-  return p;
-}
-
-/// One clean simulated endpoint: broker/manager writes into a(), the
-/// session client drains b().
-struct SimEndpoint {
-  explicit SimEndpoint(VirtualClock& clock, double bandwidth_Bps = 1e6,
-                       std::uint64_t seed = 1)
-      : forward(flat(bandwidth_Bps), seed),
-        reverse(flat(bandwidth_Bps), seed + 1000),
-        duplex(forward, reverse, clock) {}
-
-  netsim::SimLink forward;
-  netsim::SimLink reverse;
-  transport::SimDuplex duplex;
-};
 
 Bytes incompressible_block(std::size_t size, std::uint64_t seed) {
   Rng rng(seed);

@@ -9,6 +9,7 @@
 #include "broker/broker.hpp"
 #include "broker/egress_queue.hpp"
 #include "compress/frame.hpp"
+#include "fixtures.hpp"
 #include "obs/metrics.hpp"
 #include "shm/bus.hpp"
 #include "shm/ring.hpp"
@@ -470,22 +471,6 @@ TEST(ShmEndpoint, OversizedFrameBuilderViewShipsSharedHeapBuffer) {
 
 // --------------------------------------- shared-frame broker integration
 
-/// Captures every frame the broker pumps downstream — the reference for
-/// "what the TCP path would have carried".
-class CaptureTransport final : public transport::Transport {
- public:
-  void send(ByteView message) override {
-    frames.emplace_back(message.begin(), message.end());
-  }
-  std::optional<Bytes> receive() override { return std::nullopt; }
-  const Clock& clock() const override { return clock_; }
-
-  std::vector<Bytes> frames;
-
- private:
-  MonotonicClock clock_;
-};
-
 std::vector<Bytes> blocks_for_test(int n) {
   std::vector<Bytes> blocks;
   for (int i = 0; i < n; ++i) {
@@ -502,16 +487,20 @@ std::vector<std::vector<Bytes>> run_broker(
     broker::BrokerConfig base, shm::ShmBus* bus) {
   base.worker_threads = workers;
   broker::FanoutBroker fan(base);
+  // Pinned method: the selector reads wall-clock encode times, so a free
+  // choice could shift with CPU load and break identity for no real fault.
+  broker::SubscriberConfig sub;
+  sub.adaptive.method_governor = [](MethodId) { return MethodId::kLempelZiv; };
   std::vector<std::unique_ptr<shm::ShmEndpoint>> shm_eps;
   std::vector<std::unique_ptr<CaptureTransport>> captures;
   std::vector<broker::SubscriberId> ids;
   for (int i = 0; i < subs; ++i) {
     if (bus != nullptr) {
       shm_eps.push_back(bus->endpoint());
-      ids.push_back(fan.subscribe(*shm_eps.back()));
+      ids.push_back(fan.subscribe(*shm_eps.back(), sub));
     } else {
       captures.push_back(std::make_unique<CaptureTransport>());
-      ids.push_back(fan.subscribe(*captures.back()));
+      ids.push_back(fan.subscribe(*captures.back(), sub));
     }
   }
   for (const Bytes& block : blocks) fan.publish(block);

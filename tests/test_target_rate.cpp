@@ -8,6 +8,7 @@
 
 #include "adaptive/monitor.hpp"
 #include "adaptive/pipeline.hpp"
+#include "fixtures.hpp"
 #include "netsim/link.hpp"
 #include "transport/sim_transport.hpp"
 #include "util/error.hpp"
@@ -37,14 +38,6 @@ TEST(MonitorRatio, ExpansionClampsToOne) {
 }
 
 // ------------------------------------------------------ target-rate gate
-
-netsim::LinkParams flat_link(double bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
 
 struct Rig {
   VirtualClock clock;

@@ -49,9 +49,7 @@ TEST(Telemetry, AggregatorBuildsTheDashboard) {
   for (std::size_t i = 0; i < 10; ++i) {
     const MethodId m = i < 4 ? MethodId::kNone : MethodId::kLempelZiv;
     const auto r = sample_report(i, m);
-    stream.blocks.push_back(r);
-    stream.original_bytes += r.original_size;
-    stream.wire_bytes += r.wire_size;
+    stream.add(r);
     publisher.publish(r);
   }
   publisher.publish_summary(stream);

@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "fixtures.hpp"
 #include "netsim/link.hpp"
 #include "testdata.hpp"
 #include "transport/sim_transport.hpp"
@@ -10,14 +11,6 @@
 
 namespace acex::transport {
 namespace {
-
-netsim::LinkParams flat_link(double bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
 
 // ---------------------------------------------------------------- simulated
 

@@ -1,11 +1,17 @@
-// Tests for the rate-limited transport decorator and the pipelined
-// (compress-ahead) sender mode over real sockets.
+// Tests for the rate-limited transport decorator and the two-worker
+// (compress-ahead) sender mode: over real sockets, and a deterministic
+// check that block i+1 compresses while block i is on the wire.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "adaptive/pipeline.hpp"
+#include "compress/frame.hpp"
+#include "fixtures.hpp"
 #include "transport/rate_limit.hpp"
 #include "transport/tcp_transport.hpp"
 #include "util/error.hpp"
@@ -85,8 +91,9 @@ TEST(PipelinedSender, RoundTripsOverSockets) {
   std::thread sender_thread([&client, &data] {
     adaptive::AdaptiveConfig config;
     config.initial_bandwidth_Bps = 1e6;  // pessimistic: will compress
+    config.worker_threads = 2;
     adaptive::AdaptiveSender sender(client, config);
-    const auto report = sender.send_all_pipelined(data);
+    const auto report = sender.send_all(data);
     EXPECT_EQ(report.original_bytes, data.size());
     EXPECT_EQ(report.blocks.size(), 17u);
     // Indices must be sequential despite the overlap.
@@ -104,39 +111,102 @@ TEST(PipelinedSender, RoundTripsOverSockets) {
 
 TEST(PipelinedSender, EmptyInputYieldsEmptyReport) {
   auto [client, server] = transport::socket_pair();
-  adaptive::AdaptiveSender sender(client);
-  const auto report = sender.send_all_pipelined(Bytes{});
+  adaptive::AdaptiveConfig config;
+  config.worker_threads = 2;
+  adaptive::AdaptiveSender sender(client, config);
+  const auto report = sender.send_all(Bytes{});
   EXPECT_TRUE(report.blocks.empty());
   EXPECT_EQ(report.total_seconds, 0.0);
 }
 
-TEST(PipelinedSender, OverlapsCompressionWithThrottledSend) {
-  // On a throttled link where wire time dominates, the pipelined total
-  // must not exceed the serial total (and usually beats it by roughly the
-  // compression time). Generous tolerance: this is a wall-clock test.
-  workloads::TransactionGenerator gen(2);
-  const Bytes data = gen.text_block(1024 * 1024);
+/// Rendezvous between the codec (worker side) and the transport (driver
+/// side). Waits give up after 10 s and record it, so a sender that fails
+/// to overlap fails the test instead of hanging it.
+struct OverlapLatch {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool block1_encoding = false;
+  bool block0_sending = false;
+  bool timed_out = false;
 
-  const auto run = [&](bool pipelined) {
-    auto [client, server] = transport::socket_pair();
-    transport::RateLimitedTransport limited(client, 1.5e6, 32 * 1024);
-    std::thread drain([&server] {
-      while (server.receive().has_value()) {
-      }
-    });
-    adaptive::AdaptiveConfig config;
-    config.initial_bandwidth_Bps = 1.5e6;
-    adaptive::AdaptiveSender sender(limited, config);
-    const auto report = pipelined ? sender.send_all_pipelined(data)
-                                  : sender.send_all(data);
-    client.shutdown_send();
-    drain.join();
-    return report.total_seconds;
-  };
+  void set(bool& flag) {
+    std::lock_guard<std::mutex> lock(mutex);
+    flag = true;
+    cv.notify_all();
+  }
+  void wait(const bool& flag) {
+    std::unique_lock<std::mutex> lock(mutex);
+    timed_out |=
+        !cv.wait_for(lock, std::chrono::seconds(10), [&] { return flag; });
+  }
+};
 
-  const Seconds serial = run(false);
-  const Seconds overlapped = run(true);
-  EXPECT_LT(overlapped, serial * 1.15);
+/// Null-output codec that tells blocks apart by their fill byte (block i
+/// is all i). Block 0's encode holds until block 1's has started, so the
+/// driver cannot ship block 0 before block 1 is in flight; block 1's
+/// encode holds until block 0's send has begun.
+class LatchCodec final : public Codec {
+ public:
+  explicit LatchCodec(OverlapLatch& latch) : latch_(&latch) {}
+  MethodId id() const noexcept override { return MethodId::kNone; }
+  Bytes compress(ByteView data) override {
+    if (data[0] == 0) latch_->wait(latch_->block1_encoding);
+    if (data[0] == 1) {
+      latch_->set(latch_->block1_encoding);
+      latch_->wait(latch_->block0_sending);
+    }
+    return Bytes(data.begin(), data.end());
+  }
+  Bytes decompress(ByteView data) override {
+    return Bytes(data.begin(), data.end());
+  }
+
+ private:
+  OverlapLatch* latch_;
+};
+
+/// Its first send() (block 0's frame) waits for block 1's encode to start.
+class GatedTransport final : public CaptureTransport {
+ public:
+  explicit GatedTransport(OverlapLatch& latch) : latch_(&latch) {}
+  void send(ByteView message) override {
+    if (frames.empty()) {
+      latch_->wait(latch_->block1_encoding);
+      latch_->set(latch_->block0_sending);
+    }
+    CaptureTransport::send(message);
+  }
+
+ private:
+  OverlapLatch* latch_;
+};
+
+TEST(PipelinedSender, EncodeOfNextBlockOverlapsSend) {
+  // The overlap the paper's alpha < 1 credit presumes, with no wall-clock
+  // threshold: block 0's send must find block 1's encode already running.
+  OverlapLatch latch;
+  GatedTransport wire(latch);
+  adaptive::AdaptiveConfig config;
+  config.decision.block_size = 4096;
+  config.worker_threads = 2;
+  adaptive::AdaptiveSender sender(wire, config);
+  sender.registry().register_factory(
+      MethodId::kNone,
+      [&latch] { return std::make_unique<LatchCodec>(latch); });
+
+  Bytes data;
+  for (std::uint8_t block = 0; block < 4; ++block) {
+    data.insert(data.end(), 4096, block);
+  }
+  const auto report = sender.send_all_fixed(data, MethodId::kNone);
+
+  EXPECT_FALSE(latch.timed_out)
+      << "block 1 did not encode during block 0's send";
+  EXPECT_EQ(report.blocks.size(), 4u);
+  ASSERT_EQ(wire.frames.size(), 4u);
+  for (std::size_t i = 0; i < wire.frames.size(); ++i) {
+    EXPECT_EQ(frame_parse(wire.frames[i]).sequence, i);
+  }
 }
 
 }  // namespace

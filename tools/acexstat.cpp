@@ -46,7 +46,7 @@
 
 #include "adaptive/pipeline.hpp"
 #include "broker/broker.hpp"
-#include "engine/parallel_sender.hpp"
+#include "engine/thread_pool.hpp"
 #include "netsim/link.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -634,7 +634,7 @@ int run(const Options& opt) {
   config.worker_threads = opt.workers;
   config.retransmit_capacity = opt.blocks + 8;  // keep every frame replayable
   config.retransmit_max_retries = 4;
-  engine::ParallelSender sender(lossy, config);
+  adaptive::AdaptiveSender sender(lossy, config);
   adaptive::AdaptiveReceiver rx(duplex.b(),
                                 {adaptive::RecoveryPolicy::kNack, 4});
 
@@ -658,7 +658,7 @@ int run(const Options& opt) {
     const std::vector<std::uint64_t> nacks = rx.take_nacks();
     if (nacks.empty()) break;
     nacks_issued += nacks.size();
-    sender.sender().retransmit(nacks);
+    sender.retransmit(nacks);
     lossy.flush();
     absorb(rx.receive_report());
   }
@@ -693,7 +693,7 @@ int run(const Options& opt) {
            nacks_issued, failures);
   check_eq("tx.retransmits",
            counter_value(snapshot, "acex.adaptive.retransmits"),
-           sender.sender().degradation().retransmits, failures);
+           sender.degradation().retransmits, failures);
   check_eq("blocks", counter_value(snapshot, "acex.adaptive.blocks"),
            stream.blocks.size(), failures);
 
@@ -710,7 +710,8 @@ int run(const Options& opt) {
 
   // ------------------------------------------------------------ output
   std::printf("acexstat: %zu blocks x %zu KiB, %zu workers, seed %llu\n",
-              opt.blocks, opt.block_kib, sender.worker_count(),
+              opt.blocks, opt.block_kib,
+              engine::resolve_worker_threads(opt.workers),
               static_cast<unsigned long long>(opt.seed));
   std::printf("recovered %zu/%zu blocks, %llu NACKs issued\n\n",
               recovered.size(), stream.blocks.size(),
