@@ -685,47 +685,9 @@ StreamReport AdaptiveSender::send_stream(ByteView data,
 
 AdaptiveReceiver::AdaptiveReceiver(transport::Transport& transport,
                                    ReceiverConfig config)
-    : transport_(&transport), config_(config) {
-  if (config_.nack_retry_cap <= 0) {
-    throw ConfigError("receiver: nack_retry_cap must be positive");
-  }
-  if (config_.gap_window == 0) {
-    throw ConfigError("receiver: gap_window must be positive");
-  }
-}
-
-bool AdaptiveReceiver::already_delivered(std::uint64_t seq) const noexcept {
-  return seq < next_contiguous_ || delivered_ahead_.count(seq) > 0;
-}
-
-void AdaptiveReceiver::mark_delivered(std::uint64_t seq) {
-  if (seq == next_contiguous_) {
-    ++next_contiguous_;
-    // Fold in any out-of-order deliveries the gap was holding back.
-    auto it = delivered_ahead_.begin();
-    while (it != delivered_ahead_.end() && *it == next_contiguous_) {
-      ++next_contiguous_;
-      it = delivered_ahead_.erase(it);
-    }
-  } else if (seq > next_contiguous_) {
-    delivered_ahead_.insert(seq);
-  }
-}
-
-std::vector<std::uint64_t> AdaptiveReceiver::current_gaps() const {
-  std::vector<std::uint64_t> gaps;
-  if (!any_seen_) return gaps;
-  // The window clamp in receive_report() keeps max_seen_ within gap_window
-  // of next_contiguous_; bounding the scan here as well makes the loop
-  // finite even for max_seen_ == UINT64_MAX, where `seq <= max_seen_`
-  // alone could never terminate.
-  for (std::uint64_t seq = next_contiguous_;
-       seq <= max_seen_ && seq - next_contiguous_ < config_.gap_window;
-       ++seq) {
-    if (delivered_ahead_.count(seq) == 0) gaps.push_back(seq);
-  }
-  return gaps;
-}
+    : transport_(&transport),
+      config_(config),
+      tracker_(config.nack_retry_cap) {}
 
 ReceiveReport AdaptiveReceiver::receive_report() {
   ReceiveReport report;
@@ -742,23 +704,16 @@ ReceiveReport AdaptiveReceiver::receive_report() {
     try {
       const Frame frame = frame_parse(*message);
       outcome.method = frame.method;
-      if (frame.has_sequence && frame.sequence > next_contiguous_ &&
-          frame.sequence - next_contiguous_ >= config_.gap_window) {
+      if (frame.has_sequence && !tracker_.plausible(frame.sequence)) {
         // The 1-byte header checksum is weak: a corrupt sequence varint can
-        // slip through, and folding it into max_seen_ would open an
-        // effectively unbounded gap range. Real traffic never runs this far
-        // ahead of delivery (the sender's retransmit ring is far smaller).
+        // slip through and must not reach gap tracking.
         metrics.seq_rejected.add(1);
         throw DecodeError("frame: sequence implausibly far ahead");
       }
       outcome.sequence = frame.sequence;
       outcome.has_sequence = frame.has_sequence;
-      if (frame.has_sequence) {
-        max_seen_ = any_seen_ ? std::max(max_seen_, frame.sequence)
-                              : frame.sequence;
-        any_seen_ = true;
-      }
-      if (frame.has_sequence && already_delivered(frame.sequence)) {
+      if (frame.has_sequence) tracker_.saw(frame.sequence);
+      if (frame.has_sequence && tracker_.duplicate(frame.sequence)) {
         outcome.status = FrameOutcome::Status::kDuplicate;
       } else {
         const obs::ScopedSpan span(
@@ -769,7 +724,7 @@ ReceiveReport AdaptiveReceiver::receive_report() {
         const double elapsed = sw.elapsed();
         decompress_seconds_ += elapsed;
         metrics.decode_us.for_method(frame.method).record(elapsed * 1e6);
-        if (frame.has_sequence) mark_delivered(frame.sequence);
+        if (frame.has_sequence) tracker_.deliver(frame.sequence);
         outcome.status = FrameOutcome::Status::kOk;
       }
     } catch (const Error& error) {
@@ -821,7 +776,7 @@ ReceiveReport AdaptiveReceiver::receive_report() {
     report.bytes_recovered += outcome->data.size();
   }
   report.frames_ok = intact.size();
-  report.gaps = current_gaps();
+  report.gaps = tracker_.gaps();
 
   frames_ += report.frames_ok;
   frames_corrupt_ += report.frames_corrupt;
@@ -839,28 +794,10 @@ Bytes AdaptiveReceiver::receive_available() {
 }
 
 std::vector<std::uint64_t> AdaptiveReceiver::take_nacks() {
-  std::vector<std::uint64_t> out;
-  if (config_.policy != RecoveryPolicy::kNack) return out;
-  // Attempt records below the delivery cursor are settled (the sequence
-  // arrived after all); dropping them keeps the map bounded by the window.
-  nack_attempts_.erase(nack_attempts_.begin(),
-                       nack_attempts_.lower_bound(next_contiguous_));
-  for (const std::uint64_t seq : current_gaps()) {
-    int& attempts = nack_attempts_[seq];
-    if (attempts >= config_.nack_retry_cap) continue;  // lost for good
-    ++attempts;
-    out.push_back(seq);
-  }
+  if (config_.policy != RecoveryPolicy::kNack) return {};
+  std::vector<std::uint64_t> out = tracker_.take_nacks();
   receiver_metrics().nacks_issued.add(out.size());
   return out;
-}
-
-std::size_t AdaptiveReceiver::nacks_abandoned() const noexcept {
-  std::size_t lost = 0;
-  for (const auto& [seq, attempts] : nack_attempts_) {
-    if (attempts >= config_.nack_retry_cap && !already_delivered(seq)) ++lost;
-  }
-  return lost;
 }
 
 }  // namespace acex::adaptive

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "engine/thread_pool.hpp"
 #include "netsim/bandwidth.hpp"
 #include "transport/retransmit.hpp"
+#include "transport/sequence_tracker.hpp"
 #include "transport/transport.hpp"
 
 namespace acex::adaptive {
@@ -458,18 +458,14 @@ enum class RecoveryPolicy {
   kNack,
 };
 
+/// AdaptiveReceiver's settings. The sequence window and the rule for
+/// giving up a gap are transport::SequenceTracker's, the same under every
+/// policy.
 struct ReceiverConfig {
   RecoveryPolicy policy = RecoveryPolicy::kThrow;
   /// kNack: how many times one missing sequence may be requested before
-  /// the receiver gives it up as lost.
+  /// the receiver gives it up as lost and settles it.
   int nack_retry_cap = 3;
-  /// A v2 frame whose sequence lies further than this ahead of the next
-  /// undelivered sequence is rejected as corrupt. The 1-byte header
-  /// checksum lets ~1/256 of random corruptions through, and one forged
-  /// sequence near UINT64_MAX would otherwise make gap tracking scan an
-  /// astronomical range. Keep it >= the sender's retransmit_capacity —
-  /// sequences past the window could never be replayed anyway.
-  std::uint64_t gap_window = 1024;
 };
 
 /// One received frame's fate, as judged by the recovery machinery.
@@ -529,16 +525,22 @@ class AdaptiveReceiver {
   ReceiveReport receive_report();
 
   /// kNack: sequences to request from the sender, respecting the retry
-  /// cap; each call counts one attempt against every sequence returned.
-  /// Empty when nothing is missing or everything missing is past the cap.
+  /// cap; each call counts one attempt against every sequence returned,
+  /// and settles the gaps whose last attempt went unanswered. Empty when
+  /// nothing is missing or everything missing is past the cap.
   std::vector<std::uint64_t> take_nacks();
 
-  /// Missing sequences the NACK retry cap has exhausted — lost for good.
-  std::size_t nacks_abandoned() const noexcept;
+  /// Missing sequences given up on and settled — lost for good (see
+  /// transport::SequenceTracker for the rule, the same under every policy).
+  std::size_t nacks_abandoned() const noexcept {
+    return static_cast<std::size_t>(tracker_.abandoned());
+  }
 
-  /// The lowest sequence not yet delivered contiguously — what a session
+  /// The lowest sequence neither delivered nor settled — what a session
   /// resume asks the sender to replay from (`resume_from`).
-  std::uint64_t next_expected() const noexcept { return next_contiguous_; }
+  std::uint64_t next_expected() const noexcept {
+    return tracker_.next_expected();
+  }
 
   /// Point this receiver at a new transport, keeping every piece of
   /// sequence/gap/NACK state. A reconnecting session client rebinds its
@@ -566,10 +568,6 @@ class AdaptiveReceiver {
   CodecRegistry& registry() noexcept { return registry_; }
 
  private:
-  bool already_delivered(std::uint64_t seq) const noexcept;
-  void mark_delivered(std::uint64_t seq);
-  std::vector<std::uint64_t> current_gaps() const;
-
   transport::Transport* transport_;
   ReceiverConfig config_;
   CodecRegistry registry_ = CodecRegistry::with_builtins();
@@ -578,14 +576,7 @@ class AdaptiveReceiver {
   std::size_t frames_duplicate_ = 0;
   std::uint64_t bytes_recovered_ = 0;
   Seconds decompress_seconds_ = 0;
-
-  // Sequence tracking (v2 frames): everything below next_contiguous_ is
-  // delivered; delivered_ahead_ holds out-of-order deliveries above it.
-  std::uint64_t next_contiguous_ = 0;
-  std::set<std::uint64_t> delivered_ahead_;
-  std::uint64_t max_seen_ = 0;   ///< highest sequence observed on the wire
-  bool any_seen_ = false;
-  std::map<std::uint64_t, int> nack_attempts_;
+  transport::SequenceTracker tracker_;  ///< v2 frame sequences
 };
 
 }  // namespace acex::adaptive

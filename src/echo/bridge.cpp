@@ -1,7 +1,5 @@
 #include "echo/bridge.hpp"
 
-#include <algorithm>
-
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/varint.hpp"
@@ -124,36 +122,8 @@ std::size_t ChannelSender::pump_control() {
 
 ChannelReceiver::ChannelReceiver(EventChannel& channel,
                                  transport::Transport& transport,
-                                 int nack_retry_cap,
-                                 std::uint64_t gap_window)
-    : channel_(&channel),
-      transport_(&transport),
-      nack_retry_cap_(nack_retry_cap),
-      gap_window_(gap_window) {
-  if (nack_retry_cap <= 0) {
-    throw ConfigError("bridge: nack_retry_cap must be positive");
-  }
-  if (gap_window == 0) {
-    throw ConfigError("bridge: gap_window must be positive");
-  }
-}
-
-bool ChannelReceiver::already_delivered(std::uint64_t seq) const noexcept {
-  return seq < next_contiguous_ || delivered_ahead_.count(seq) > 0;
-}
-
-void ChannelReceiver::mark_delivered(std::uint64_t seq) {
-  if (seq == next_contiguous_) {
-    ++next_contiguous_;
-    auto it = delivered_ahead_.begin();
-    while (it != delivered_ahead_.end() && *it == next_contiguous_) {
-      ++next_contiguous_;
-      it = delivered_ahead_.erase(it);
-    }
-  } else if (seq > next_contiguous_) {
-    delivered_ahead_.insert(seq);
-  }
-}
+                                 int nack_retry_cap)
+    : channel_(&channel), transport_(&transport), tracker_(nack_retry_cap) {}
 
 std::size_t ChannelReceiver::poll(std::size_t max_events) {
   std::size_t delivered = 0;
@@ -178,11 +148,9 @@ std::size_t ChannelReceiver::poll(std::size_t max_events) {
       std::size_t pos = 1;
       try {
         const std::uint64_t seq = get_varint(*message, &pos);
-        if (seq > next_contiguous_ && seq - next_contiguous_ >= gap_window_) {
-          // A sequence this far ahead of the delivery cursor cannot be
-          // real traffic (the sender's retransmit ring is far smaller) —
-          // it is what a flipped continuation bit in the varint looks
-          // like. Reject before it can poison gap tracking.
+        if (!tracker_.plausible(seq)) {
+          // What a flipped continuation bit in the varint looks like.
+          // Reject before it can poison gap tracking.
           throw DecodeError("bridge: implausible sequence");
         }
         std::size_t body_end = message->size();
@@ -203,7 +171,7 @@ std::size_t ChannelReceiver::poll(std::size_t max_events) {
             throw DecodeError("bridge: event crc mismatch");
           }
         }
-        if (already_delivered(seq)) {
+        if (tracker_.duplicate(seq)) {
           ++duplicates_;
           continue;
         }
@@ -211,13 +179,12 @@ std::size_t ChannelReceiver::poll(std::size_t max_events) {
             deserialize_event(ByteView(*message).subspan(pos, body_end - pos));
         // Commit sequence tracking only after the body deserialized: the
         // varint carries no integrity check of its own, so a seq whose
-        // message is detectably corrupt must not move max_seen_. The
+        // message is detectably corrupt must not widen the gap scan. The
         // damage (if the event was real) shows up as a gap once later
         // sequences arrive, and is NACKed then.
-        max_seen_ = any_seen_ ? std::max(max_seen_, seq) : seq;
-        any_seen_ = true;
+        tracker_.saw(seq);
         channel_->submit(std::move(event));
-        mark_delivered(seq);
+        tracker_.deliver(seq);
         ++received_;
         ++delivered;
       } catch (const Error&) {
@@ -236,40 +203,8 @@ void ChannelReceiver::signal_control(const AttributeMap& attrs) {
   transport_->send(wrap(kMsgControl, body));
 }
 
-std::vector<std::uint64_t> ChannelReceiver::missing() const {
-  std::vector<std::uint64_t> gaps;
-  if (!any_seen_) return gaps;
-  // poll() clamps tracked sequences to within gap_window_ of the delivery
-  // cursor; bounding the scan here as well keeps the loop finite even for
-  // max_seen_ == UINT64_MAX, where `seq <= max_seen_` could never end.
-  for (std::uint64_t seq = next_contiguous_;
-       seq <= max_seen_ && seq - next_contiguous_ < gap_window_; ++seq) {
-    if (delivered_ahead_.count(seq) == 0) gaps.push_back(seq);
-  }
-  return gaps;
-}
-
 std::size_t ChannelReceiver::signal_nacks() {
-  // Attempt records below the delivery cursor are settled (the sequence
-  // arrived after all); dropping them keeps the map bounded by the window.
-  nack_attempts_.erase(nack_attempts_.begin(),
-                       nack_attempts_.lower_bound(next_contiguous_));
-  std::vector<std::uint64_t> request;
-  for (const std::uint64_t seq : missing()) {
-    int& attempts = nack_attempts_[seq];
-    if (attempts >= nack_retry_cap_) {
-      // Lost for good. Settle the sequence so the delivery cursor can move
-      // past it: left unsettled, one dead sequence pins next_contiguous_
-      // forever, and once live traffic runs gap_window ahead of the pinned
-      // cursor every later event is rejected as implausible — a permanent
-      // wedge (found by `acexfuzz --soak`).
-      ++abandoned_;
-      mark_delivered(seq);
-      continue;
-    }
-    ++attempts;
-    request.push_back(seq);
-  }
+  const std::vector<std::uint64_t> request = tracker_.take_nacks();
   if (request.empty()) return 0;
   AttributeMap attrs;
   attrs.set_bytes(kNackAttr, encode_seqs(request));

@@ -1,11 +1,10 @@
 #pragma once
 
-#include <map>
-#include <set>
 #include <vector>
 
 #include "echo/channel.hpp"
 #include "transport/retransmit.hpp"
+#include "transport/sequence_tracker.hpp"
 #include "transport/transport.hpp"
 
 namespace acex::echo {
@@ -76,21 +75,20 @@ class ChannelSender {
 /// Consumer side. Call poll() to pull remote events into the local
 /// channel; use signal_control() to send quality attributes upstream.
 ///
-/// The receiver tracks bridge sequence numbers: duplicates are dropped,
+/// The receiver tracks bridge sequence numbers in a
+/// transport::SequenceTracker: duplicates are dropped, a sequence a
+/// window or more ahead of the delivery cursor is rejected as corrupt,
 /// and gaps — dropped upstream, or corrupted so the sequence cannot be
 /// trusted — are recorded as missing once later sequences arrive.
-/// signal_nacks() requests them again over the control path; sequences
-/// past the retry cap are abandoned AND settled — the delivery cursor
-/// skips them so one unrecoverable event cannot wedge the gap window
-/// (and with it all later traffic) forever.
+/// signal_nacks() requests them again over the control path. A gap is
+/// abandoned AND settled (the cursor skips it) once its retries run out
+/// or it falls half a window behind the newest delivery, so one
+/// unrecoverable event cannot wedge later traffic, NACKs or not.
 class ChannelReceiver {
  public:
-  /// `gap_window` bounds how far ahead of the delivery cursor a wire
-  /// sequence may claim to be before it is rejected as corrupt (the
-  /// varint has no integrity check of its own); keep it >= the sender's
-  /// ring_capacity — anything further ahead could never be replayed.
+  /// `nack_retry_cap`: how many times signal_nacks() requests one gap.
   ChannelReceiver(EventChannel& channel, transport::Transport& transport,
-                  int nack_retry_cap = 3, std::uint64_t gap_window = 1024);
+                  int nack_retry_cap = 3);
 
   ChannelReceiver(const ChannelReceiver&) = delete;
   ChannelReceiver& operator=(const ChannelReceiver&) = delete;
@@ -106,39 +104,31 @@ class ChannelReceiver {
   void signal_control(const AttributeMap& attrs);
 
   /// NACK every currently missing sequence (respecting the retry cap) in
-  /// one control message. Returns how many sequences were requested; 0
-  /// means nothing is missing or everything missing is past the cap.
+  /// one control message, settling the gaps whose last attempt went
+  /// unanswered. Returns how many sequences were requested; 0 means
+  /// nothing is missing or everything missing is past the cap.
   std::size_t signal_nacks();
 
   /// Sequences currently believed missing (for diagnostics and tests).
-  std::vector<std::uint64_t> missing() const;
+  std::vector<std::uint64_t> missing() const { return tracker_.gaps(); }
 
   std::uint64_t events_received() const noexcept { return received_; }
   std::uint64_t duplicates_dropped() const noexcept { return duplicates_; }
   std::uint64_t corrupt_dropped() const noexcept { return corrupt_; }
   std::uint64_t nacks_signalled() const noexcept { return nacks_signalled_; }
-  /// Sequences given up on after the retry cap and skipped past.
-  std::uint64_t events_abandoned() const noexcept { return abandoned_; }
+  /// Sequences given up on and skipped past.
+  std::uint64_t events_abandoned() const noexcept {
+    return tracker_.abandoned();
+  }
 
  private:
-  bool already_delivered(std::uint64_t seq) const noexcept;
-  void mark_delivered(std::uint64_t seq);
-
   EventChannel* channel_;
   transport::Transport* transport_;
   std::uint64_t received_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t corrupt_ = 0;
   std::uint64_t nacks_signalled_ = 0;
-  std::uint64_t abandoned_ = 0;
-  int nack_retry_cap_;
-  std::uint64_t gap_window_;
-
-  std::uint64_t next_contiguous_ = 0;
-  std::set<std::uint64_t> delivered_ahead_;
-  std::uint64_t max_seen_ = 0;
-  bool any_seen_ = false;
-  std::map<std::uint64_t, int> nack_attempts_;
+  transport::SequenceTracker tracker_;
 };
 
 }  // namespace acex::echo

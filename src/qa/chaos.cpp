@@ -165,7 +165,6 @@ struct ChaosSoak {
     peer.recovered.clear();
     session::ClientConfig cc;
     cc.receiver.nack_retry_cap = config.nack_retry_cap;
-    cc.receiver.gap_window = config.gap_window;
     peer.client = std::make_unique<session::SessionClient>(
         clock, cc, config.seed * 977 + cr.session_id);
     peer.client->on_connected(cr.session_id, cr.token, peer.duplex->b(),
@@ -368,17 +367,20 @@ struct ChaosSoak {
         violate("chaos: NACK traffic did not converge on a healed link");
       }
       const std::uint64_t published_while = crcs.size() - peer->joined_at;
-      const std::size_t gaps =
-          peer->client->receiver()->receive_report().gaps.size();
-      if (peer->recovered.size() + gaps != published_while) {
+      adaptive::AdaptiveReceiver* rx = peer->client->receiver();
+      const std::size_t abandoned = rx->nacks_abandoned();
+      const std::size_t gaps = rx->receive_report().gaps.size();
+      if (peer->recovered.size() + abandoned + gaps != published_while) {
         violate("chaos: accounting leak: " +
                 std::to_string(peer->recovered.size()) + " recovered + " +
+                std::to_string(abandoned) + " abandoned + " +
                 std::to_string(gaps) + " gaps != " +
                 std::to_string(published_while) + " published while joined");
       }
-      if (gaps != 0) {
-        violate("chaos: session ended with " + std::to_string(gaps) +
-                " permanent gaps — resume fidelity broken");
+      if (abandoned + gaps != 0) {
+        violate("chaos: session ended with " +
+                std::to_string(abandoned + gaps) +
+                " lost blocks — resume fidelity broken");
       }
       report.delivered += peer->recovered.size();
       if (peer->kills < config.min_kills) {

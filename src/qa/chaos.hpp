@@ -48,7 +48,6 @@ struct ChaosConfig {
   double bit_flip_prob = 0.03;
   double truncate_prob = 0.02;
 
-  std::uint64_t gap_window = 512;
   int nack_retry_cap = 6;
 };
 

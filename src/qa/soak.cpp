@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "qa/generators.hpp"
 #include "transport/fault_transport.hpp"
+#include "transport/sequence_tracker.hpp"
 #include "transport/sim_transport.hpp"
 #include "util/clock.hpp"
 #include "util/crc32.hpp"
@@ -24,6 +25,7 @@ namespace acex::qa {
 namespace {
 
 constexpr std::size_t kMaxViolations = 64;
+constexpr std::uint64_t kWindow = transport::SequenceTracker::kWindow;
 
 netsim::LinkParams flat_link(double bps) {
   netsim::LinkParams p;
@@ -123,7 +125,6 @@ struct BrokerSoak {
     adaptive::ReceiverConfig rc;
     rc.policy = adaptive::RecoveryPolicy::kNack;
     rc.nack_retry_cap = config.nack_retry_cap;
-    rc.gap_window = config.gap_window;
     sub->rx =
         std::make_unique<adaptive::AdaptiveReceiver>(sub->duplex->b(), rc);
 
@@ -155,10 +156,9 @@ struct BrokerSoak {
 
   void drain(Sub& sub) {
     const adaptive::ReceiveReport r = sub.rx->receive_report();
-    if (r.gaps.size() > config.gap_window) {
+    if (r.gaps.size() > kWindow) {
       violate("broker: " + std::to_string(r.gaps.size()) +
-              " gaps exceed the gap window of " +
-              std::to_string(config.gap_window));
+              " gaps exceed the gap window of " + std::to_string(kWindow));
     }
     for (const auto& frame : r.frames) {
       if (frame.status != adaptive::FrameOutcome::Status::kOk) continue;
@@ -278,16 +278,18 @@ struct BrokerSoak {
     std::uint64_t live_abandoned = 0;
     for (auto& sub : subs) {
       const std::uint64_t published_while = crcs.size() - sub->joined_at;
+      const std::size_t abandoned = sub->rx->nacks_abandoned();
       const std::size_t gaps = sub->rx->receive_report().gaps.size();
-      if (sub->recovered.size() + gaps != published_while) {
+      if (sub->recovered.size() + abandoned + gaps != published_while) {
         violate("broker: accounting leak: " +
                 std::to_string(sub->recovered.size()) + " recovered + " +
+                std::to_string(abandoned) + " abandoned + " +
                 std::to_string(gaps) + " gaps != " +
                 std::to_string(published_while) +
                 " published while subscribed");
       }
       live_recovered += sub->recovered.size();
-      live_abandoned += gaps;
+      live_abandoned += abandoned + gaps;
       accumulate_faults(*sub);
     }
 
@@ -353,7 +355,7 @@ SoakReport run_soak(const SoakConfig& config) {
   echo::ChannelSender bridge_tx(producer, pub_lossy, ring_capacity,
                                 config.nack_retry_cap);
   echo::ChannelReceiver bridge_rx(consumer, pub_duplex.b(),
-                                  config.nack_retry_cap, config.gap_window);
+                                  config.nack_retry_cap);
 
   // Published ground truth, indexed by the app-level sequence (== the
   // bridge sequence: this producer channel carries soak events only).
@@ -399,7 +401,6 @@ SoakReport run_soak(const SoakConfig& config) {
   adaptive::ReceiverConfig rx_config;
   rx_config.policy = adaptive::RecoveryPolicy::kNack;
   rx_config.nack_retry_cap = config.nack_retry_cap;
-  rx_config.gap_window = config.gap_window;
   adaptive::AdaptiveReceiver eng_rx(eng_duplex.b(), rx_config);
 
   std::vector<std::uint32_t> block_crc;  // ground truth, indexed by sequence
@@ -409,10 +410,9 @@ SoakReport run_soak(const SoakConfig& config) {
         drain.frames.size()) {
       violate("engine: drain outcome counts do not sum to the frame count");
     }
-    if (drain.gaps.size() > config.gap_window) {
+    if (drain.gaps.size() > kWindow) {
       violate("engine: " + std::to_string(drain.gaps.size()) +
-              " gaps exceed the gap window of " +
-              std::to_string(config.gap_window));
+              " gaps exceed the gap window of " + std::to_string(kWindow));
     }
     for (const auto& frame : drain.frames) {
       if (frame.status != adaptive::FrameOutcome::Status::kOk) continue;
@@ -492,7 +492,7 @@ SoakReport run_soak(const SoakConfig& config) {
     pubsub_nack_cycle(2);
 
     if (const auto missing = bridge_rx.missing();
-        missing.size() > config.gap_window) {
+        missing.size() > kWindow) {
       violate("pubsub: " + std::to_string(missing.size()) +
               " missing sequences exceed the gap window");
     } else {
@@ -590,8 +590,10 @@ SoakReport run_soak(const SoakConfig& config) {
 
   report.blocks_sent = block_crc.size();
   report.blocks_recovered = recovered.size();
-  const adaptive::ReceiveReport final_drain = eng_rx.receive_report();
-  report.blocks_abandoned = final_drain.gaps.size();
+  // Abandoned = settled by the receiver + gaps left after convergence,
+  // as on the pub/sub half; on a healed link no gap may survive.
+  const std::size_t final_gaps = eng_rx.receive_report().gaps.size();
+  report.blocks_abandoned = eng_rx.nacks_abandoned() + final_gaps;
   if (report.blocks_recovered + report.blocks_abandoned !=
       report.blocks_sent) {
     violate("engine: accounting leak: " +
@@ -599,8 +601,9 @@ SoakReport run_soak(const SoakConfig& config) {
             std::to_string(report.blocks_abandoned) + " abandoned != " +
             std::to_string(report.blocks_sent) + " sent");
   }
-  if (eng_rx.nacks_abandoned() < report.blocks_abandoned) {
-    violate("engine: a gap survives that never exhausted its retry cap");
+  if (final_gaps != 0) {
+    violate("engine: " + std::to_string(final_gaps) +
+            " gaps survive convergence");
   }
 
   // Fault-counter identity on both injectors, and the obs mirror.

@@ -8,12 +8,13 @@
 //   * delivery ordering / at-most-once: no event or block is delivered
 //     twice, and every delivered payload matches what was published;
 //   * gap-window bounds: the missing-sequence sets on both halves never
-//     exceed the configured gap window;
+//     exceed transport::SequenceTracker's window;
 //   * observability honesty: the obs counter deltas for the fault
 //     injectors equal the injectors' own ground-truth counters;
 //   * retransmit-ring convergence: once the links heal, finitely many
 //     NACK rounds reach a fixed point where every sequence is either
-//     recovered or explicitly abandoned — nothing stays in limbo.
+//     recovered or explicitly abandoned — nothing stays in limbo
+//     (recovered + abandoned + gaps == published on every half).
 //
 // Everything is a pure function of SoakConfig::seed, so a violation
 // reproduces by re-running with the same config.
@@ -42,7 +43,6 @@ struct SoakConfig {
   double bit_flip_prob = 0.03;
   double truncate_prob = 0.02;
 
-  std::uint64_t gap_window = 512;
   int nack_retry_cap = 4;
 
   /// Broker half: fan one block stream out to this many subscribers, each

@@ -58,15 +58,6 @@ Bytes SessionClient::make_heartbeat() {
   return control_encode(msg);
 }
 
-Bytes SessionClient::make_resume() const {
-  ControlMsg msg;
-  msg.kind = ControlKind::kResume;
-  msg.session_id = session_id_;
-  msg.token = token_;
-  msg.resume_from = resume_from();
-  return control_encode(msg);
-}
-
 Bytes SessionClient::make_bye() const {
   ControlMsg msg;
   msg.kind = ControlKind::kBye;

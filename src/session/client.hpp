@@ -59,9 +59,6 @@ class SessionClient {
   /// Build one wire-encoded heartbeat and re-arm the schedule.
   Bytes make_heartbeat();
 
-  /// Build a wire-encoded resume request for the current cursor.
-  Bytes make_resume() const;
-
   /// Build a wire-encoded orderly-departure notice.
   Bytes make_bye() const;
 

@@ -64,17 +64,4 @@ ControlMsg control_decode(ByteView wire) {
   return msg;
 }
 
-echo::AttributeMap control_attributes(const ControlMsg& msg) {
-  echo::AttributeMap attrs;
-  attrs.set_bytes(std::string(kControlAttr), control_encode(msg));
-  return attrs;
-}
-
-std::optional<ControlMsg> control_from_attributes(
-    const echo::AttributeMap& attrs) {
-  const std::optional<Bytes> wire = attrs.get_bytes(kControlAttr);
-  if (!wire) return std::nullopt;
-  return control_decode(ByteView(wire->data(), wire->size()));
-}
-
 }  // namespace acex::session

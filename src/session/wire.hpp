@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
-#include "echo/attributes.hpp"
 #include "util/bytes.hpp"
 
 namespace acex::session {
@@ -41,19 +39,5 @@ Bytes control_encode(const ControlMsg& msg);
 /// Throws DecodeError on truncation, bad magic, unknown kind, or CRC
 /// mismatch.
 ControlMsg control_decode(ByteView wire);
-
-/// Attribute name under which a control message rides an echo
-/// AttributeMap — the heartbeat path reuses ECho's control plane rather
-/// than inventing a parallel channel.
-inline constexpr std::string_view kControlAttr = "acex.session.ctrl";
-
-/// Wrap `msg` for the echo control path.
-echo::AttributeMap control_attributes(const ControlMsg& msg);
-
-/// Extract a control message from an echo AttributeMap; nullopt when the
-/// attribute is absent. Decode errors propagate (a present-but-corrupt
-/// control message is a fault, not a miss).
-std::optional<ControlMsg> control_from_attributes(
-    const echo::AttributeMap& attrs);
 
 }  // namespace acex::session

@@ -155,8 +155,7 @@ TEST(BrokerCache, LateJoinerSequencesStartAtZero) {
   // The late joiner's stream starts at sequence 0: its receiver must see
   // a gapless fresh stream, not a hole covering the blocks it missed.
   adaptive::AdaptiveReceiver receiver(late.duplex.b(),
-                                      {adaptive::RecoveryPolicy::kNack,
-                                       3, 1024});
+                                      {adaptive::RecoveryPolicy::kNack, 3});
   const adaptive::ReceiveReport report = receiver.receive_report();
   EXPECT_EQ(report.frames_ok, 1u);
   EXPECT_TRUE(report.gaps.empty());

@@ -278,13 +278,6 @@ TEST_F(FaultTest, ReceiverClampsSequencesOutsideTheGapWindow) {
   }
 }
 
-TEST_F(FaultTest, ReceiverRejectsZeroGapWindow) {
-  wire();
-  EXPECT_THROW(adaptive::AdaptiveReceiver(
-                   duplex_->b(), {adaptive::RecoveryPolicy::kSkip, 3, 0}),
-               ConfigError);
-}
-
 TEST_F(FaultTest, NackPolicyRespectsRetryCap) {
   wire();
   NullCodec null;
@@ -297,6 +290,44 @@ TEST_F(FaultTest, NackPolicyRespectsRetryCap) {
   EXPECT_EQ(rx.take_nacks(), (std::vector<std::uint64_t>{1}));
   EXPECT_TRUE(rx.take_nacks().empty());  // cap reached: given up
   EXPECT_EQ(rx.nacks_abandoned(), 1u);
+}
+
+// Sequences 0..2999 except 1 (lost on the wire), one frame per drain;
+// under kNack the receiver asks after every drain and nobody answers. A
+// receiver that never settles gap 1 pins its cursor there, and every frame
+// from 1025 on lands a window ahead and is rejected as corrupt.
+void stream_missing_sequence_one(transport::Transport& wire,
+                                 adaptive::AdaptiveReceiver& rx) {
+  NullCodec null;
+  for (std::uint64_t seq = 0; seq < 3000; ++seq) {
+    if (seq == 1) continue;
+    wire.send(frame_compress_seq(
+        null, Bytes{static_cast<std::uint8_t>(seq), 7}, seq));
+    (void)rx.receive_report();
+    (void)rx.take_nacks();  // empty, and a no-op, unless kNack
+  }
+}
+
+TEST_F(FaultTest, SkipReceiverSettlesOneLostSequence) {
+  wire();
+  adaptive::AdaptiveReceiver rx(duplex_->b(),
+                                {adaptive::RecoveryPolicy::kSkip, 3});
+  stream_missing_sequence_one(duplex_->a(), rx);
+  EXPECT_EQ(rx.frames_received(), 2999u);
+  EXPECT_EQ(rx.frames_corrupt(), 0u);
+  EXPECT_EQ(rx.next_expected(), 3000u);
+  EXPECT_EQ(rx.nacks_abandoned(), 1u);  // half a window behind delivery
+}
+
+TEST_F(FaultTest, NackReceiverSettlesOneLostSequence) {
+  wire();
+  adaptive::AdaptiveReceiver rx(duplex_->b(),
+                                {adaptive::RecoveryPolicy::kNack, 3});
+  stream_missing_sequence_one(duplex_->a(), rx);
+  EXPECT_EQ(rx.frames_received(), 2999u);
+  EXPECT_EQ(rx.frames_corrupt(), 0u);
+  EXPECT_EQ(rx.next_expected(), 3000u);
+  EXPECT_EQ(rx.nacks_abandoned(), 1u);  // retry cap ran out
 }
 
 // ------------------------------------- sender degradation + breaker
@@ -773,11 +804,26 @@ TEST_F(FaultTest, BridgeIgnoresCorruptSequenceHeaders) {
   EXPECT_EQ(receiver.signal_nacks(), 0u);
 }
 
-TEST_F(FaultTest, BridgeReceiverRejectsZeroGapWindow) {
+TEST_F(FaultTest, BridgeWithoutNacksSettlesOneLostEvent) {
+  // The bridge twin of SkipReceiverSettlesOneLostSequence: a consumer that
+  // never NACKs must still settle the lost event, or its cursor pins and
+  // every event from 1025 on is rejected as implausible.
   wire();
-  echo::EventChannel consumer("local");
-  EXPECT_THROW(echo::ChannelReceiver(consumer, duplex_->b(), 3, 0),
-               ConfigError);
+  echo::EventChannel producer("remote"), consumer("local");
+  echo::ChannelSender sender(producer, duplex_->a());
+  echo::ChannelReceiver receiver(consumer, duplex_->b());
+  for (int i = 0; i < 3000; ++i) {
+    producer.submit(echo::Event(Bytes{static_cast<std::uint8_t>(i)}));
+    if (i == 1) {
+      (void)duplex_->b().receive();  // event 1 vanishes in transit
+      continue;
+    }
+    receiver.poll();
+  }
+  EXPECT_EQ(receiver.events_received(), 2999u);
+  EXPECT_EQ(receiver.corrupt_dropped(), 0u);
+  EXPECT_EQ(receiver.events_abandoned(), 1u);
+  EXPECT_TRUE(receiver.missing().empty());
 }
 
 TEST_F(FaultTest, BridgeControlPumpSurvivesCorruptMessages) {

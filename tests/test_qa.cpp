@@ -364,6 +364,41 @@ TEST(QaSoak, SoakIsDeterministicForAFixedSeed) {
   EXPECT_EQ(a.violations, b.violations);
 }
 
+TEST(QaSoak, RetryCapOfOneSettlesEveryLostBlock) {
+  // One NACK per gap on a 20 %-drop link: many blocks are lost for good.
+  // The engine receiver must settle them, or its cursor pins, later blocks
+  // fall outside the gap window and the accounting identity breaks.
+  qa::SoakConfig config;
+  config.rounds = 100;
+  config.workers = 1;
+  config.nack_retry_cap = 1;
+  config.drop_prob = 0.2;
+  config.seed = 3;
+  const qa::SoakReport report = qa::run_soak(config);
+  EXPECT_TRUE(report.ok()) << (report.violations.empty()
+                                   ? ""
+                                   : report.violations.front());
+  EXPECT_GT(report.blocks_abandoned, 0u);
+  EXPECT_EQ(report.blocks_recovered + report.blocks_abandoned,
+            report.blocks_sent);
+}
+
+TEST(QaSoak, BrokerChurnSoakRunsWithZeroViolations) {
+  // The broker half with subscriber churn, as `acexfuzz --soak 0 --rounds
+  // 60 --broker 8 --churn 2` runs it: each subscriber's identity counts
+  // the blocks its receiver settled.
+  qa::SoakConfig config;
+  config.rounds = 60;
+  config.broker_subscribers = 8;
+  config.broker_churn_every = 2;
+  const qa::SoakReport report = qa::run_soak(config);
+  EXPECT_TRUE(report.ok()) << (report.violations.empty()
+                                   ? ""
+                                   : report.violations.front());
+  EXPECT_GT(report.broker_blocks, 0u);
+  EXPECT_GT(report.broker_recovered, 0u);
+}
+
 TEST(QaSoak, RejectsUnusableConfigs) {
   qa::SoakConfig bad;
   bad.block_size = 0;

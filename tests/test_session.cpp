@@ -243,19 +243,6 @@ TEST(SessionWire, RejectsTruncationBadMagicAndBitFlips) {
   }
 }
 
-TEST(SessionWire, RidesTheEchoAttributeMap) {
-  ControlMsg msg;
-  msg.kind = ControlKind::kHeartbeat;
-  msg.session_id = 3;
-  msg.token = 0xBEEF;
-  const echo::AttributeMap attrs = control_attributes(msg);
-  const auto back = control_from_attributes(attrs);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, msg);
-
-  EXPECT_FALSE(control_from_attributes(echo::AttributeMap{}).has_value());
-}
-
 // ------------------------------------------------------------- lifecycle
 
 SessionConfig quick_session() {

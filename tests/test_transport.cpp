@@ -5,6 +5,7 @@
 #include "fixtures.hpp"
 #include "netsim/link.hpp"
 #include "testdata.hpp"
+#include "transport/sequence_tracker.hpp"
 #include "transport/sim_transport.hpp"
 #include "transport/tcp_transport.hpp"
 #include "util/error.hpp"
@@ -142,6 +143,96 @@ TEST(TcpTransport, MoveTransfersOwnership) {
 
 TEST(TcpTransport, RejectsInvalidDescriptor) {
   EXPECT_THROW(TcpTransport(-1), ConfigError);
+}
+
+// ---------------------------------------------------------- SequenceTracker
+
+constexpr std::uint64_t kHalf = SequenceTracker::kWindow / 2;
+
+TEST(SequenceTracker, FoldsOutOfOrderDeliveriesAndFlagsDuplicates) {
+  SequenceTracker t;
+  t.deliver(0);
+  t.deliver(3);
+  t.deliver(2);
+  EXPECT_EQ(t.next_expected(), 1u);
+  EXPECT_EQ(t.gaps(), (std::vector<std::uint64_t>{1}));
+  EXPECT_TRUE(t.duplicate(0));
+  EXPECT_TRUE(t.duplicate(2));
+  EXPECT_TRUE(t.duplicate(3));
+  EXPECT_FALSE(t.duplicate(1));
+  EXPECT_FALSE(t.duplicate(4));
+
+  t.deliver(1);  // closes the gap: the cursor folds over 2 and 3
+  EXPECT_EQ(t.next_expected(), 4u);
+  EXPECT_TRUE(t.gaps().empty());
+  EXPECT_TRUE(t.duplicate(1));
+  EXPECT_EQ(t.abandoned(), 0u);
+}
+
+TEST(SequenceTracker, ClampsSequencesToTheWindow) {
+  SequenceTracker t;
+  EXPECT_TRUE(t.plausible(SequenceTracker::kWindow - 1));
+  EXPECT_FALSE(t.plausible(SequenceTracker::kWindow));
+  EXPECT_FALSE(t.plausible(UINT64_MAX));
+
+  for (std::uint64_t seq = 0; seq < 10; ++seq) t.deliver(seq);
+  EXPECT_TRUE(t.plausible(3));  // behind the cursor: a duplicate, not forged
+  EXPECT_TRUE(t.plausible(10 + SequenceTracker::kWindow - 1));
+  EXPECT_FALSE(t.plausible(10 + SequenceTracker::kWindow));
+  EXPECT_FALSE(t.plausible(UINT64_MAX));
+
+  // The furthest plausible header opens exactly one window of gaps.
+  t.saw(10 + SequenceTracker::kWindow - 1);
+  EXPECT_EQ(t.gaps().size(), SequenceTracker::kWindow);
+}
+
+TEST(SequenceTracker, AbandonsAGapThatReachesTheRetryCap) {
+  SequenceTracker t(2);
+  t.deliver(0);
+  t.deliver(2);
+  EXPECT_EQ(t.take_nacks(), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(t.take_nacks(), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(t.abandoned(), 0u);  // the last request gets its round
+  EXPECT_TRUE(t.take_nacks().empty());
+  EXPECT_EQ(t.abandoned(), 1u);
+  EXPECT_EQ(t.next_expected(), 3u);
+  EXPECT_TRUE(t.gaps().empty());
+  EXPECT_TRUE(t.duplicate(1));  // a late copy no longer delivers
+}
+
+TEST(SequenceTracker, SettlesGapsHalfAWindowBehindTheNewestDelivery) {
+  SequenceTracker t;
+  t.deliver(0);
+  for (std::uint64_t seq = 2; seq <= kHalf; ++seq) t.deliver(seq);
+  EXPECT_EQ(t.gaps(), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(t.abandoned(), 0u);
+
+  t.deliver(kHalf + 1);  // gap 1 is now half a window behind
+  EXPECT_EQ(t.abandoned(), 1u);
+  EXPECT_EQ(t.next_expected(), kHalf + 2);
+  EXPECT_TRUE(t.gaps().empty());
+  EXPECT_TRUE(t.plausible(kHalf + 1 + SequenceTracker::kWindow));
+}
+
+TEST(SequenceTracker, HeaderOnlySequenceNeverSettles) {
+  SequenceTracker t(1);
+  t.deliver(0);
+  t.saw(1);  // header parsed, payload failed its CRC
+  t.saw(kHalf + 100);
+  EXPECT_EQ(t.gaps().size(), kHalf + 100);
+  EXPECT_EQ(t.take_nacks().size(), kHalf + 100);
+  EXPECT_TRUE(t.take_nacks().empty());  // past the cap ...
+  EXPECT_EQ(t.abandoned(), 0u);         // ... but nothing delivered past it
+  EXPECT_EQ(t.next_expected(), 1u);
+  EXPECT_FALSE(t.duplicate(1));
+
+  t.deliver(1);  // the genuine copy still delivers
+  EXPECT_EQ(t.next_expected(), 2u);
+  EXPECT_EQ(t.abandoned(), 0u);
+}
+
+TEST(SequenceTracker, RejectsNonPositiveRetryCap) {
+  EXPECT_THROW(SequenceTracker(0), ConfigError);
 }
 
 }  // namespace
