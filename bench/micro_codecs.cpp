@@ -1,5 +1,6 @@
 // google-benchmark microbenches: per-codec compress/decompress throughput
-// on the two paper datasets plus the BWT/MTF/RLE pipeline stages. These
+// on the two paper datasets plus the BWT/MTF/RLE pipeline stages and the
+// frame CRC-32 (one 16 KiB fan-out block, one 128 KiB WAN block). These
 // are the steady-state numbers behind Figs. 3 and 4 with benchmark-grade
 // statistics (run with --benchmark_repetitions=... for confidence
 // intervals).
@@ -10,6 +11,7 @@
 #include "compress/bwt.hpp"
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -82,6 +84,15 @@ void BM_RleEncode(benchmark::State& state) {
                           static_cast<std::int64_t>(m.size()));
 }
 
+void BM_Crc32(benchmark::State& state, std::size_t size) {
+  const ByteView block = ByteView(commercial()).subspan(0, size);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(block));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,6 +112,8 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("stage/bwt_inverse_128K", BM_BwtInverse);
   benchmark::RegisterBenchmark("stage/mtf_encode_128K", BM_MtfEncode);
   benchmark::RegisterBenchmark("stage/rle_encode_128K", BM_RleEncode);
+  benchmark::RegisterBenchmark("stage/crc32_16K", BM_Crc32, 16 * 1024);
+  benchmark::RegisterBenchmark("stage/crc32_128K", BM_Crc32, 128 * 1024);
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

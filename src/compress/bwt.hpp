@@ -18,8 +18,9 @@ struct Transformed {
 /// Forward BWT over all cyclic rotations of `block` (§2.4 step 1).
 ///
 /// Rotation order is established with prefix doubling (Manber–Myers on the
-/// cyclic string): O(n log^2 n) with std::sort — deliberately the "slow,
-/// strong" method of the paper; its cost is what Figs. 3/4 measure.
+/// cyclic string), each round a counting (radix) sort: O(n log n) —
+/// deliberately the "slow, strong" method of the paper; its cost is what
+/// Figs. 3/4 measure.
 Transformed forward(ByteView block);
 
 /// Inverse BWT via LF-mapping (counting sort + backwards walk), O(n).

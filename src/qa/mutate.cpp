@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <optional>
 
+#include "util/crc32.hpp"
+
 namespace acex::qa {
 namespace {
 
@@ -383,16 +385,7 @@ std::optional<std::size_t> scan_pipeline_header(const Bytes& buf,
 void fix_pipeline_crc(Bytes& buf, std::size_t at) {
   const auto header_len = scan_pipeline_header(buf, at);
   if (!header_len || buf.size() - at < *header_len + 4) return;
-  std::uint32_t crc = 0xFFFFFFFFu;
-  // One-off CRC-32 (IEEE) over the header bytes; mirrors util/crc32 so the
-  // qa library keeps its pure-(input, Rng) mutator contract visible here.
-  for (std::size_t i = at; i < at + *header_len; ++i) {
-    crc ^= buf[i];
-    for (int b = 0; b < 8; ++b) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
-  }
-  crc ^= 0xFFFFFFFFu;
+  const std::uint32_t crc = crc32(ByteView(buf).subspan(at, *header_len));
   for (unsigned shift = 0; shift < 32; shift += 8) {
     buf[at + *header_len + (shift / 8)] =
         static_cast<std::uint8_t>(crc >> shift);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -273,6 +274,14 @@ TEST(BrokerChurn, SubscribeUnsubscribeDuringConcurrentPublish) {
     while (!stop.load()) broker.pump_all();
   });
   std::thread churner([&] {
+    // Churn only once the stable subscriber holds a frame; otherwise the 50
+    // rounds can finish, and stop the publisher, before its first publish.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (broker.subscriber_stats(stable).frames == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
     for (int round = 0; round < 50; ++round) {
       std::vector<SubscriberId> ids;
       for (int i = 1; i < 4; ++i) ids.push_back(broker.subscribe(sinks[i], cfg));

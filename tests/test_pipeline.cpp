@@ -219,8 +219,10 @@ TEST(Experiment, MethodsEscalateWithRisingLoad) {
   ExperimentConfig config;
   // Quiet (0 connections) -> moderate (60: link at ~40 %) -> saturated
   // (95: link at its 5 % floor). Step times are tuned to the virtual
-  // timeline: raw 128 KiB blocks leave every ~20 ms on the quiet link.
-  config.background = netsim::LoadTrace({{0, 0}, {0.3, 60}, {0.8, 95}});
+  // timeline: raw 128 KiB blocks leave every ~18 ms on the quiet link, and
+  // the bandwidth estimate needs about four blocks at the floor before BW
+  // pays, so every phase is several blocks longer than that lag.
+  config.background = netsim::LoadTrace({{0, 0}, {0.25, 60}, {0.65, 95}});
   config.link.jitter_frac = 0.0;
   config.adaptive.async_sampling = false;
   config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "testdata.hpp"
 #include "util/bitstream.hpp"
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
@@ -199,6 +201,105 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const std::uint32_t before = crc32(data);
   data[3] ^= 0x10;
   EXPECT_NE(crc32(data), before);
+}
+
+/// Bit-at-a-time IEEE CRC-32: the definition both kernels must reproduce.
+std::uint32_t crc32_reference(ByteView data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32_portable(ByteView data) {
+  return detail::crc32_portable(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswersOnBothKernels) {
+  Bytes ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+  }
+  const std::pair<Bytes, std::uint32_t> cases[] = {
+      {to_bytes("123456789"), 0xCBF43926u},
+      {Bytes(32, 0x00), 0x190A55ADu},
+      {Bytes(32, 0xFF), 0xFF6CAB0Bu},
+      {ascending, 0x91267E8Au},
+  };
+  for (const auto& [data, want] : cases) {
+    EXPECT_EQ(crc32_reference(data), want);
+    EXPECT_EQ(crc32(data), want);
+    EXPECT_EQ(crc32_portable(data), want);
+  }
+}
+
+TEST(Crc32, KernelsMatchReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-1024 cover the 64-byte folding threshold and every 16-byte
+  // tail; start offsets 0-15 cover every load misalignment.
+  const Bytes buf = testdata::random_bytes(1024 + 16, 17);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const ByteView view = ByteView(buf).subspan(offset, len);
+      const std::uint32_t want = crc32_reference(view);
+      ASSERT_EQ(crc32(view), want) << "offset " << offset << " length " << len;
+      ASSERT_EQ(crc32_portable(view), want)
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, KernelsMatchReferenceOnRandomSpans) {
+  constexpr std::size_t kMaxLen = 256 * 1024;
+  const Bytes buf = testdata::random_bytes(kMaxLen + 64, 2004);
+  Rng rng(2005);
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t offset = rng.below(64);
+    const std::size_t len = rng.below(kMaxLen + 1);
+    const ByteView view = ByteView(buf).subspan(offset, len);
+    const std::uint32_t want = crc32_reference(view);
+    ASSERT_EQ(crc32(view), want) << "offset " << offset << " length " << len;
+    ASSERT_EQ(crc32_portable(view), want)
+        << "offset " << offset << " length " << len;
+  }
+}
+
+TEST(Crc32, UpdateSplitAtRandomCutsEqualsOneShot) {
+  const Bytes buf = testdata::random_bytes(64 * 1024 + 7, 31);
+  const ByteView all(buf);
+  const std::uint32_t want = crc32(all);
+  ASSERT_EQ(want, crc32_reference(all));
+
+  // One cut: pieces under 64 bytes, and pieces of lengths that are not a
+  // multiple of 16, on either side.
+  const std::size_t n = all.size();
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
+                                std::size_t{15}, std::size_t{17},
+                                std::size_t{63}, std::size_t{64},
+                                std::size_t{65}, std::size_t{4099}, n - 65,
+                                n - 64, n - 63, n - 17, n - 1, n}) {
+    Crc32 inc;
+    inc.update(all.subspan(0, cut));
+    inc.update(all.subspan(cut));
+    ASSERT_EQ(inc.value(), want) << "cut at " << cut;
+  }
+
+  // Many cuts at seeded random points: short pieces mixed with long ones.
+  Rng rng(47);
+  for (int round = 0; round < 100; ++round) {
+    Crc32 inc;
+    for (std::size_t at = 0; at < n;) {
+      const std::size_t piece =
+          rng.chance(0.5) ? rng.below(64) : rng.below(n - at + 1);
+      const std::size_t take = std::min(piece, n - at);
+      inc.update(all.subspan(at, take));
+      at += take;
+    }
+    ASSERT_EQ(inc.value(), want) << "round " << round;
+  }
 }
 
 // -------------------------------------------------------------------- rng
