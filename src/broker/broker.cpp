@@ -93,6 +93,7 @@ struct FanoutBroker::Subscriber {
 FanoutBroker::FanoutBroker(BrokerConfig config)
     : config_(config),
       sampler_(config.sample_prefix == 0 ? 4 * 1024 : config.sample_prefix) {
+  broker_metrics();  // an idle broker still exports every acex.broker.*
   if (config_.worker_threads != 1) {
     pool_ = std::make_unique<engine::ThreadPool>(config_.worker_threads,
                                                  config_.queue_capacity);

@@ -75,9 +75,6 @@ void DaemonClient::handle_inbound(Msg msg) {
       // Heartbeat/bye acknowledgements; nothing to do — liveness is the
       // server's concern, the client just keeps sending proofs.
       break;
-    case MsgKind::kStatReply:
-      last_stats_ = stats_decode(msg.payload);
-      break;
     default:
       throw IoError("unexpected server message: " +
                     std::string(msg_kind_name(msg.kind)));
@@ -130,18 +127,6 @@ bool DaemonClient::poll_until(std::size_t target_bytes, int deadline_ms) {
 
 std::uint32_t DaemonClient::wire_crc() const noexcept {
   return wire_crc_.value();
-}
-
-DaemonStats DaemonClient::stat() {
-  last_stats_.reset();
-  send_msg(MsgKind::kStatRequest, {});
-  const Seconds deadline = clock_.now() + config_.io_timeout_ms / 1000.0;
-  while (!last_stats_) {
-    if (clock_.now() >= deadline) throw IoError("stat reply timed out");
-    poll(50);
-    if (!fd_.valid()) throw IoError("daemon closed before stat reply");
-  }
-  return *last_stats_;
 }
 
 void DaemonClient::bye() {

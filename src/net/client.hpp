@@ -47,7 +47,7 @@ class InboundQueue final : public transport::Transport {
 struct DaemonClientConfig {
   CompressionOffer offer;
   session::ClientConfig session;
-  /// Bound on any single blocking wait inside connect/poll/stat.
+  /// Bound on each wait for the daemon's answer to a hello (connect, resume).
   int io_timeout_ms = 5000;
 };
 
@@ -84,9 +84,6 @@ class DaemonClient {
   /// CRC32 over the concatenated raw kData frame bytes, in arrival order.
   std::uint32_t wire_crc() const noexcept;
 
-  /// Ask the daemon for its counter snapshot (round-trip on this socket).
-  DaemonStats stat();
-
   /// Orderly departure: send kBye, then close. The daemon parks the
   /// session immediately.
   void bye();
@@ -116,7 +113,6 @@ class DaemonClient {
   Bytes stream_;
   std::uint64_t data_frames_ = 0;
   Crc32 wire_crc_;
-  std::optional<DaemonStats> last_stats_;
 };
 
 }  // namespace acex::net

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 
@@ -272,7 +273,9 @@ bool Daemon::parse_frames(Connection& conn) {
 bool Daemon::handle_message(Connection& conn, const Msg& msg) {
   if (msg.kind == MsgKind::kStatRequest) {
     // Allowed in both states: acexctl stat probes without subscribing.
-    enqueue(conn, MsgKind::kStatReply, stats_encode(stats()));
+    enqueue(conn, MsgKind::kStatReply,
+            to_bytes(obs::to_json_lines(
+                obs::MetricsRegistry::global().snapshot())));
     return true;
   }
   if (!conn.streaming) {

@@ -70,6 +70,21 @@ struct DaemonConfig {
   std::size_t max_connections = 4096;
 };
 
+/// One daemon's own counters, returned by Daemon::stats(). Each has an
+/// `acex.net.*` twin in the process-wide obs registry (six counters plus
+/// the `connections_open` and `loop_wakeups` gauges). kStatReply serves
+/// that registry; this struct never crosses the wire.
+struct DaemonStats {
+  std::uint64_t connections_total = 0;   ///< accepted TCP connections
+  std::uint64_t connections_open = 0;    ///< currently open
+  std::uint64_t handshakes = 0;          ///< kWelcome sent
+  std::uint64_t rejects = 0;             ///< kReject sent
+  std::uint64_t bytes_in = 0;
+  std::uint64_t bytes_out = 0;
+  std::uint64_t loop_wakeups = 0;
+  std::uint64_t blocks_published = 0;
+};
+
 /// The multi-client daemon. Construction binds the listener; run() (or
 /// start()) enters the loop. publish()/stop()/stats() are thread-safe;
 /// everything else belongs to the loop thread.
@@ -98,7 +113,7 @@ class Daemon {
   /// Enqueue one block for distribution to every session (thread-safe).
   void publish(Bytes block);
 
-  /// Counter snapshot (thread-safe; also mirrored to `acex.net.*`).
+  /// This daemon's counters (thread-safe).
   DaemonStats stats() const;
 
   /// Connections currently streaming (handshake completed), for

@@ -128,31 +128,4 @@ std::vector<std::uint64_t> nack_decode(ByteView payload) {
   return sequences;
 }
 
-Bytes stats_encode(const DaemonStats& stats) {
-  Bytes out;
-  put_varint(out, stats.connections_total);
-  put_varint(out, stats.connections_open);
-  put_varint(out, stats.handshakes);
-  put_varint(out, stats.rejects);
-  put_varint(out, stats.bytes_in);
-  put_varint(out, stats.bytes_out);
-  put_varint(out, stats.loop_wakeups);
-  put_varint(out, stats.blocks_published);
-  return out;
-}
-
-DaemonStats stats_decode(ByteView payload) {
-  std::size_t pos = 0;
-  DaemonStats stats;
-  stats.connections_total = take_varint(payload, &pos, "connections total");
-  stats.connections_open = take_varint(payload, &pos, "connections open");
-  stats.handshakes = take_varint(payload, &pos, "handshakes");
-  stats.rejects = take_varint(payload, &pos, "rejects");
-  stats.bytes_in = take_varint(payload, &pos, "bytes in");
-  stats.bytes_out = take_varint(payload, &pos, "bytes out");
-  stats.loop_wakeups = take_varint(payload, &pos, "loop wakeups");
-  stats.blocks_published = take_varint(payload, &pos, "blocks published");
-  return stats;
-}
-
 }  // namespace acex::net

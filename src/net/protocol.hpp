@@ -11,7 +11,8 @@
 //   kControl  both directions   session::control_encode bytes (heartbeat,
 //                               bye, and their acknowledgements)
 //   kNack     client -> server  nack_encode (sequences to replay)
-//   kStatRequest / kStatReply   acexctl's stat probe and its answer
+//   kStatRequest  client -> server  empty; needs no kHello, opens no session
+//   kStatReply    server -> client  obs::to_json_lines of the global registry
 
 #include <cstdint>
 #include <string>
@@ -82,23 +83,5 @@ Reject reject_decode(ByteView payload);
 /// from its retransmit ring.
 Bytes nack_encode(const std::vector<std::uint64_t>& sequences);
 std::vector<std::uint64_t> nack_decode(ByteView payload);
-
-/// kStatReply payload — the daemon's `acex.net.*` counters, served to
-/// acexctl stat (and cross-checked against obs by the tests).
-struct DaemonStats {
-  std::uint64_t connections_total = 0;   ///< accepted TCP connections
-  std::uint64_t connections_open = 0;    ///< currently open
-  std::uint64_t handshakes = 0;          ///< kWelcome sent
-  std::uint64_t rejects = 0;             ///< kReject sent
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t loop_wakeups = 0;
-  std::uint64_t blocks_published = 0;
-
-  bool operator==(const DaemonStats&) const = default;
-};
-
-Bytes stats_encode(const DaemonStats& stats);
-DaemonStats stats_decode(ByteView payload);
 
 }  // namespace acex::net

@@ -1,10 +1,10 @@
 #include "obs/export.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 
@@ -53,9 +53,8 @@ void append_label_field(std::string& out, const MetricPoint& p) {
 
 struct JsonValue {
   enum class Type { kNumber, kString, kArray, kObject } type = Type::kNumber;
-  double number = 0;
-  std::string string;
-  std::vector<double> array;  ///< arrays of numbers only
+  std::string text;                ///< a string's contents or a number's token
+  std::vector<std::string> array;  ///< arrays of number tokens only
   std::map<std::string, JsonValue> object;
 };
 
@@ -63,7 +62,10 @@ class JsonLineParser {
  public:
   explicit JsonLineParser(std::string_view text) : text_(text) {}
 
-  JsonValue parse_object() {
+  /// One line is one object. Its values may be objects one level down
+  /// (the `label` pair) and no deeper, which also bounds the recursion a
+  /// hostile line can drive.
+  JsonValue parse_object(bool nested = false) {
     JsonValue value;
     value.type = JsonValue::Type::kObject;
     expect('{');
@@ -77,7 +79,7 @@ class JsonLineParser {
       const std::string key = parse_string();
       skip_ws();
       expect(':');
-      value.object.emplace(key, parse_value());
+      value.object.emplace(key, parse_value(nested));
       skip_ws();
       const char c = next();
       if (c == '}') return value;
@@ -86,15 +88,16 @@ class JsonLineParser {
   }
 
  private:
-  JsonValue parse_value() {
+  JsonValue parse_value(bool nested) {
     skip_ws();
     const char c = peek();
     JsonValue value;
     if (c == '"') {
       value.type = JsonValue::Type::kString;
-      value.string = parse_string();
+      value.text = parse_string();
     } else if (c == '{') {
-      value = parse_object();
+      if (nested) fail("objects nested more than one level");
+      value = parse_object(true);
     } else if (c == '[') {
       value.type = JsonValue::Type::kArray;
       ++pos_;
@@ -112,8 +115,7 @@ class JsonLineParser {
         skip_ws();
       }
     } else {
-      value.type = JsonValue::Type::kNumber;
-      value.number = parse_number();
+      value.text = parse_number();
     }
     return value;
   }
@@ -141,7 +143,8 @@ class JsonLineParser {
     }
   }
 
-  double parse_number() {
+  /// The raw token; the field it belongs to decides how it converts.
+  std::string parse_number() {
     const std::size_t start = pos_;
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
@@ -151,11 +154,7 @@ class JsonLineParser {
       ++pos_;
     }
     if (pos_ == start) fail("expected number");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("bad number: " + token);
-    return v;
+    return std::string(text_.substr(start, pos_ - start));
   }
 
   void skip_ws() {
@@ -185,39 +184,70 @@ class JsonLineParser {
   std::size_t pos_ = 0;
 };
 
-const JsonValue& field(const JsonValue& obj, const std::string& key) {
+const JsonValue& field(const JsonValue& obj, const std::string& key,
+                       JsonValue::Type type) {
   const auto it = obj.object.find(key);
   if (it == obj.object.end()) {
     throw DecodeError("obs json: missing field '" + key + "'");
   }
+  if (it->second.type != type) {
+    throw DecodeError("obs json: field '" + key + "' has the wrong type");
+  }
   return it->second;
 }
 
+/// A number token read as its field's own type: counts and levels never
+/// pass through a double, which would round them above 2^53 and admit -1,
+/// 0.5, 1e30, nan and inf.
+template <typename T>
+T number(const std::string& token) {
+  T v{};
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc() || stop != end) {
+    throw DecodeError("obs json: bad number: " + token);
+  }
+  return v;
+}
+
 MetricPoint point_from_json(const JsonValue& obj) {
+  using Type = JsonValue::Type;
+  const auto token = [&](const char* key) -> const std::string& {
+    return field(obj, key, Type::kNumber).text;
+  };
   MetricPoint p;
-  const std::string& type = field(obj, "type").string;
-  p.name = field(obj, "name").string;
-  if (const auto it = obj.object.find("label"); it != obj.object.end()) {
-    if (it->second.object.size() != 1) {
-      throw DecodeError("obs json: label must hold exactly one pair");
+  const std::string& type = field(obj, "type", Type::kString).text;
+  p.name = field(obj, "name", Type::kString).text;
+  if (obj.object.count("label") != 0) {
+    const JsonValue& label = field(obj, "label", Type::kObject);
+    if (label.object.size() != 1 ||
+        label.object.begin()->second.type != Type::kString) {
+      throw DecodeError("obs json: label must hold exactly one string pair");
     }
-    p.label_key = it->second.object.begin()->first;
-    p.label_value = it->second.object.begin()->second.string;
+    p.label_key = label.object.begin()->first;
+    p.label_value = label.object.begin()->second.text;
   }
   if (type == "counter") {
     p.kind = MetricPoint::Kind::kCounter;
-    p.counter = static_cast<std::uint64_t>(field(obj, "value").number);
+    p.counter = number<std::uint64_t>(token("value"));
   } else if (type == "gauge") {
     p.kind = MetricPoint::Kind::kGauge;
-    p.gauge = static_cast<std::int64_t>(field(obj, "value").number);
+    p.gauge = number<std::int64_t>(token("value"));
   } else if (type == "histogram") {
     p.kind = MetricPoint::Kind::kHistogram;
-    p.hist.count = static_cast<std::uint64_t>(field(obj, "count").number);
-    p.hist.sum = field(obj, "sum").number;
-    p.hist.min = field(obj, "min").number;
-    p.hist.max = field(obj, "max").number;
-    for (const double b : field(obj, "buckets").array) {
-      p.hist.buckets.push_back(static_cast<std::uint64_t>(b));
+    p.hist.count = number<std::uint64_t>(token("count"));
+    p.hist.sum = number<double>(token("sum"));
+    p.hist.min = number<double>(token("min"));
+    p.hist.max = number<double>(token("max"));
+    if (!(p.hist.min <= p.hist.max)) {
+      throw DecodeError("obs json: histogram min exceeds max");
+    }
+    const auto& buckets = field(obj, "buckets", Type::kArray).array;
+    if (buckets.size() > Histogram::kBuckets) {
+      throw DecodeError("obs json: more than Histogram::kBuckets buckets");
+    }
+    for (const std::string& b : buckets) {
+      p.hist.buckets.push_back(number<std::uint64_t>(b));
     }
   } else {
     throw DecodeError("obs json: unknown point type '" + type + "'");
@@ -294,9 +324,9 @@ MetricsSnapshot parse_json_lines(std::string_view text) {
     JsonLineParser parser(line);
     const JsonValue obj = parser.parse_object();
     const auto type_it = obj.object.find("type");
-    if (type_it != obj.object.end() && type_it->second.string != "counter" &&
-        type_it->second.string != "gauge" &&
-        type_it->second.string != "histogram") {
+    if (type_it != obj.object.end() && type_it->second.text != "counter" &&
+        type_it->second.text != "gauge" &&
+        type_it->second.text != "histogram") {
       // Non-metric lines (spans, bench headers) may be interleaved in the
       // same file; metrics parsing skips them. Structural damage on any
       // line still throws above.

@@ -41,9 +41,11 @@ HistogramSnapshot Histogram::snapshot() const {
   s.count = count_.load(std::memory_order_relaxed);
   s.sum = sum_.load(std::memory_order_relaxed);
   // min_ idles at +inf so concurrent first samples race cleanly; an empty
-  // histogram reports 0, not inf.
-  s.min = s.count ? min_.load(std::memory_order_relaxed) : 0.0;
+  // histogram reports 0, not inf. A snapshot racing a record() may see its
+  // min before its max, so min is clamped: min <= max always holds.
   s.max = max_.load(std::memory_order_relaxed);
+  s.min =
+      s.count ? std::min(min_.load(std::memory_order_relaxed), s.max) : 0.0;
   return s;
 }
 

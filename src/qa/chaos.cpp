@@ -10,6 +10,7 @@
 #include "netsim/link.hpp"
 #include "obs/metrics.hpp"
 #include "qa/generators.hpp"
+#include "qa/oracles.hpp"
 #include "session/client.hpp"
 #include "session/manager.hpp"
 #include "transport/fault_transport.hpp"
@@ -35,25 +36,6 @@ netsim::LinkParams chaos_link(double bps) {
   p.latency_s = 0;
   return p;
 }
-
-/// The obs mirror of SessionCounters, read from the global registry.
-struct ObsSession {
-  std::uint64_t connects, refused, heartbeats, suspects, parks, resumes,
-      restarts, expired, shed;
-
-  static ObsSession read() {
-    auto& r = obs::MetricsRegistry::global();
-    return {r.counter("acex.session.connects").value(),
-            r.counter("acex.session.refused").value(),
-            r.counter("acex.session.heartbeats").value(),
-            r.counter("acex.session.suspects").value(),
-            r.counter("acex.session.parks").value(),
-            r.counter("acex.session.resumes").value(),
-            r.counter("acex.session.restarts").value(),
-            r.counter("acex.session.expired").value(),
-            r.counter("acex.session.shed").value()};
-  }
-};
 
 struct ChaosSoak {
   /// One network endpoint incarnation + the durable client riding it. The
@@ -427,7 +409,8 @@ ChaosReport run_chaos(const ChaosConfig& config) {
   }
 
   ChaosReport report;
-  const ObsSession obs_before = ObsSession::read();
+  const obs::MetricsSnapshot obs_before =
+      obs::MetricsRegistry::global().snapshot();
 
   {
     ChaosSoak soak(config, report);
@@ -440,25 +423,20 @@ ChaosReport run_chaos(const ChaosConfig& config) {
 
     // The obs mirror must agree with the manager's ground truth — the
     // deltas absorb whatever earlier in-process tests left in the registry.
-    const ObsSession after = ObsSession::read();
     const session::SessionCounters sc = soak.manager.counters();
-    auto check_mirror = [&](const char* what, std::uint64_t obs_delta,
-                            std::uint64_t truth) {
-      if (obs_delta != truth) {
-        soak.violate(std::string("chaos: obs mirror acex.session.") + what +
-                     " = " + std::to_string(obs_delta) +
-                     " diverges from ground truth " + std::to_string(truth));
-      }
-    };
-    check_mirror("connects", after.connects - obs_before.connects,
-                 sc.connects);
-    check_mirror("heartbeats", after.heartbeats - obs_before.heartbeats,
-                 sc.heartbeats);
-    check_mirror("parks", after.parks - obs_before.parks, sc.parks);
-    check_mirror("resumes", after.resumes - obs_before.resumes, sc.resumes);
-    check_mirror("restarts", after.restarts - obs_before.restarts,
-                 sc.restarts);
-    check_mirror("expired", after.expired - obs_before.expired, sc.expired);
+    for (std::string& v : check_series(
+             obs_before, obs::MetricsRegistry::global().snapshot(),
+             {{"acex.session.connects", sc.connects},
+              {"acex.session.refused", sc.refused},
+              {"acex.session.heartbeats", sc.heartbeats},
+              {"acex.session.suspects", sc.suspects},
+              {"acex.session.parks", sc.parks},
+              {"acex.session.resumes", sc.resumes},
+              {"acex.session.restarts", sc.restarts},
+              {"acex.session.expired", sc.expired},
+              {"acex.session.shed", sc.shed}})) {
+      soak.violate("chaos: obs mirror " + std::move(v));
+    }
   }
 
   return report;

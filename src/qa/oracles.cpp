@@ -39,6 +39,18 @@ adaptive::AdaptiveConfig engine_config(std::size_t workers,
   return config;
 }
 
+/// A series' reading in `snapshot` (gauges two's-complement, so deltas
+/// subtract modulo 2^64); an absent series reads 0.
+std::uint64_t reading(const obs::MetricsSnapshot& snapshot,
+                      const std::string& series) {
+  const obs::MetricPoint* p = snapshot.find(series);
+  if (p == nullptr) return 0;
+  if (p->kind == obs::MetricPoint::Kind::kHistogram) return p->hist.count;
+  return p->kind == obs::MetricPoint::Kind::kGauge
+             ? static_cast<std::uint64_t>(p->gauge)
+             : p->counter;
+}
+
 /// Drain every raw message pending at a SimHalf.
 std::vector<Bytes> drain_wire(transport::SimHalf& endpoint) {
   std::vector<Bytes> messages;
@@ -330,6 +342,24 @@ Verdict zlib_agreement(ByteView data) {
     return Verdict::fail(std::string("zlib comparator threw: ") + e.what());
   }
   return Verdict::pass();
+}
+
+std::vector<std::string> check_series(const obs::MetricsSnapshot& before,
+                                      const obs::MetricsSnapshot& after,
+                                      const std::vector<SeriesRow>& rows) {
+  std::vector<std::string> violations;
+  for (const SeriesRow& row : rows) {
+    const std::uint64_t delta =
+        reading(after, row.series) - reading(before, row.series);
+    if (delta != row.truth) {
+      violations.push_back(
+          row.series + ": obs delta " +
+          std::to_string(static_cast<std::int64_t>(delta)) +
+          " != ground truth " +
+          std::to_string(static_cast<std::int64_t>(row.truth)));
+    }
+  }
+  return violations;
 }
 
 }  // namespace acex::qa

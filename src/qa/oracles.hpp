@@ -14,9 +14,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "compress/codec.hpp"
 #include "compress/registry.hpp"
+#include "obs/metrics.hpp"
 #include "util/bytes.hpp"
 
 namespace acex::qa {
@@ -93,5 +95,21 @@ Verdict serial_parallel_adaptive(ByteView data, std::size_t workers,
 /// finds highly compressible the other must not find incompressible), and
 /// zlib must round-trip. Trivially passes when zlib is absent.
 Verdict zlib_agreement(ByteView data);
+
+/// One row of an obs-vs-ground-truth table: a full series name, as
+/// MetricPoint::full_name() spells it, and what its change must equal.
+/// A gauge falling by n has truth `static_cast<std::uint64_t>(-n)`.
+struct SeriesRow {
+  std::string series;
+  std::uint64_t truth = 0;
+};
+
+/// The obs truth check: each row's series must have changed from `before`
+/// to `after` by exactly its truth — a counter's or gauge's value, a
+/// histogram's count, an absent series reading 0. Returns one violation,
+/// naming the series, per row that disagrees.
+std::vector<std::string> check_series(const obs::MetricsSnapshot& before,
+                                      const obs::MetricsSnapshot& after,
+                                      const std::vector<SeriesRow>& rows);
 
 }  // namespace acex::qa

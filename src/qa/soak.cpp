@@ -13,6 +13,7 @@
 #include "netsim/link.hpp"
 #include "obs/metrics.hpp"
 #include "qa/generators.hpp"
+#include "qa/oracles.hpp"
 #include "transport/fault_transport.hpp"
 #include "transport/sequence_tracker.hpp"
 #include "transport/sim_transport.hpp"
@@ -34,23 +35,6 @@ netsim::LinkParams flat_link(double bps) {
   p.latency_s = 0;
   return p;
 }
-
-/// The obs mirror of FaultCounters, read from the global registry.
-struct ObsFault {
-  std::uint64_t messages, drops, reorders, duplicates, bit_flips,
-      truncations, clean;
-
-  static ObsFault read() {
-    auto& r = obs::MetricsRegistry::global();
-    return {r.counter("acex.transport.fault.messages").value(),
-            r.counter("acex.transport.fault.drops").value(),
-            r.counter("acex.transport.fault.reorders").value(),
-            r.counter("acex.transport.fault.duplicates").value(),
-            r.counter("acex.transport.fault.bit_flips").value(),
-            r.counter("acex.transport.fault.truncations").value(),
-            r.counter("acex.transport.fault.clean").value()};
-  }
-};
 
 /// Broker half of the soak: one FanoutBroker fanning every published block
 /// out to N subscribers, each over its own faulted SimDuplex with a kNack
@@ -333,7 +317,8 @@ SoakReport run_soak(const SoakConfig& config) {
     }
   };
 
-  const ObsFault obs_before = ObsFault::read();
+  const obs::MetricsSnapshot obs_before =
+      obs::MetricsRegistry::global().snapshot();
 
   // ---- pub/sub half: ECho channels bridged over a faulted link ---------
   VirtualClock pub_clock;
@@ -627,29 +612,23 @@ SoakReport run_soak(const SoakConfig& config) {
   report.faults_injected +=
       bc.drops + bc.reorders + bc.duplicates + bc.bit_flips + bc.truncations;
 
-  const ObsFault after = ObsFault::read();
-  const auto obs_mirror = [&](const char* field, std::uint64_t before_v,
-                              std::uint64_t after_v, std::uint64_t truth) {
-    if (after_v - before_v != truth) {
-      violate(std::string("obs: fault.") + field + " delta " +
-              std::to_string(after_v - before_v) +
-              " != injector ground truth " + std::to_string(truth));
-    }
+  using transport::FaultCounters;
+  const auto fault = [&](const char* field,
+                         std::uint64_t FaultCounters::*count) -> SeriesRow {
+    return {std::string("acex.transport.fault.") + field,
+            pc.*count + ec.*count + bc.*count};
   };
-  obs_mirror("messages", obs_before.messages, after.messages,
-             pc.messages + ec.messages + bc.messages);
-  obs_mirror("drops", obs_before.drops, after.drops,
-             pc.drops + ec.drops + bc.drops);
-  obs_mirror("reorders", obs_before.reorders, after.reorders,
-             pc.reorders + ec.reorders + bc.reorders);
-  obs_mirror("duplicates", obs_before.duplicates, after.duplicates,
-             pc.duplicates + ec.duplicates + bc.duplicates);
-  obs_mirror("bit_flips", obs_before.bit_flips, after.bit_flips,
-             pc.bit_flips + ec.bit_flips + bc.bit_flips);
-  obs_mirror("truncations", obs_before.truncations, after.truncations,
-             pc.truncations + ec.truncations + bc.truncations);
-  obs_mirror("clean", obs_before.clean, after.clean,
-             pc.clean + ec.clean + bc.clean);
+  for (std::string& v : check_series(
+           obs_before, obs::MetricsRegistry::global().snapshot(),
+           {fault("messages", &FaultCounters::messages),
+            fault("drops", &FaultCounters::drops),
+            fault("reorders", &FaultCounters::reorders),
+            fault("duplicates", &FaultCounters::duplicates),
+            fault("bit_flips", &FaultCounters::bit_flips),
+            fault("truncations", &FaultCounters::truncations),
+            fault("clean", &FaultCounters::clean)})) {
+    violate("obs: " + std::move(v));
+  }
 
   return report;
 }

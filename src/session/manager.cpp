@@ -68,6 +68,7 @@ SessionManager::SessionManager(const Clock& clock, ManagerConfig config)
       broker_(config_.broker),
       budget_(config_.budget),
       token_rng_(config_.token_seed) {
+  session_metrics();  // an idle manager still exports every acex.session.*
   // The budget sees exactly what the broker holds: every subscriber's
   // queued egress frames plus its retransmit ring — live AND parked, which
   // is what makes parked state a first-class citizen of the envelope.

@@ -15,7 +15,10 @@
 #include "net/handshake.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "qa/mutate.hpp"
+#include "qa/oracles.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -552,12 +555,6 @@ TEST(NetProtocol, WelcomeRejectNackStatsRoundTrip) {
 
   const std::vector<std::uint64_t> seqs = {1, 5, 1000000};
   EXPECT_EQ(nack_decode(nack_encode(seqs)), seqs);
-
-  DaemonStats stats;
-  stats.connections_total = 64;
-  stats.bytes_out = 1ull << 33;
-  stats.loop_wakeups = 12345;
-  EXPECT_EQ(stats_decode(stats_encode(stats)), stats);
 }
 
 TEST(NetProtocol, DemoBlocksSelfVerify) {
@@ -746,9 +743,68 @@ TEST(NetDaemon, StatProbeAnswersWithoutSubscription) {
   ASSERT_TRUE(answer.has_value());
   const Msg msg = unwrap(*answer);
   ASSERT_EQ(msg.kind, MsgKind::kStatReply);
-  const DaemonStats stats = stats_decode(msg.payload);
-  EXPECT_GE(stats.connections_total, 1u);
+  // The reply is the process's obs registry, which has counted at least
+  // the probe's own connection.
+  const obs::MetricsSnapshot snapshot = obs::parse_json_lines(
+      std::string(msg.payload.begin(), msg.payload.end()));
+  const obs::MetricPoint* connections = snapshot.find("acex.net.connections");
+  ASSERT_NE(connections, nullptr);
+  EXPECT_GE(connections->counter, 1u);
+  EXPECT_NE(snapshot.find("acex.net.handshakes"), nullptr);
   daemon.stop();
+  // A probe is not a subscriber: it opened no session.
+  EXPECT_EQ(daemon.stats().handshakes, 0u);
+  EXPECT_EQ(daemon.streaming_count(), 0u);
+}
+
+TEST(NetDaemon, NetSeriesMirrorDaemonStatsAcrossKillAndResume) {
+  // The acex.net.* counters are process-wide, so they are checked as
+  // deltas from a snapshot taken before this daemon started. The test
+  // reads the registry in process: a stat reply is snapshotted before its
+  // own bytes are counted in bytes_out.
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::global().snapshot();
+  Daemon daemon(quick_daemon_config());
+  daemon.start();
+  DaemonClientConfig cfg;
+  cfg.offer = deterministic_offer({MethodId::kHuffman, MethodId::kNone});
+  DaemonClient steady(daemon.port(), cfg);
+  DaemonClient victim(daemon.port(), cfg);
+
+  Bytes expected;
+  const auto publish = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      Bytes b = demo_block(8, static_cast<std::uint32_t>(i), 4096);
+      expected.insert(expected.end(), b.begin(), b.end());
+      daemon.publish(std::move(b));
+    }
+  };
+  publish(0, 3);
+  ASSERT_TRUE(victim.poll_until(expected.size(), 10000));
+  victim.drop();
+  publish(3, 6);
+  msleep(100);  // let the daemon park the dropped session first
+  victim.resume(daemon.port());
+  for (DaemonClient* client : {&steady, &victim}) {
+    ASSERT_TRUE(client->poll_until(expected.size(), 10000));
+    EXPECT_EQ(client->stream(), expected);
+    client->bye();
+  }
+  daemon.stop();
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.handshakes, 3u);  // two hellos and one resume
+  EXPECT_EQ(stats.blocks_published, 6u);
+  for (const std::string& violation : qa::check_series(
+           before, obs::MetricsRegistry::global().snapshot(),
+           {{"acex.net.connections", stats.connections_total},
+            {"acex.net.handshakes", stats.handshakes},
+            {"acex.net.rejects", stats.rejects},
+            {"acex.net.bytes_in", stats.bytes_in},
+            {"acex.net.bytes_out", stats.bytes_out},
+            {"acex.net.blocks_published", stats.blocks_published}})) {
+    ADD_FAILURE() << violation;
+  }
 }
 
 TEST(NetDaemon, KilledClientResumesByteIdentically) {

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -399,6 +400,61 @@ TEST(ObsExport, ParserSkipsSpanAndBenchLinesButRejectsGarbage) {
   expect_snapshots_equal(s, obs::parse_json_lines(mixed));
   EXPECT_THROW(obs::parse_json_lines("not json\n"), DecodeError);
   EXPECT_THROW(obs::parse_json_lines("{\"type\":\"counter\"\n"), DecodeError);
+}
+
+TEST(ObsExport, ParserRejectsWhatTheExporterNeverWrites) {
+  // The parser reads kStatReply payloads off the wire, so every input
+  // outside the exporter's contract must be a DecodeError.
+  const auto point = [](const std::string& type, const std::string& fields) {
+    return "{\"type\":\"" + type + "\",\"name\":\"acex.x\"," + fields + "}\n";
+  };
+  const auto value = [&](const std::string& type, const std::string& v) {
+    return obs::parse_json_lines(point(type, "\"value\":" + v));
+  };
+  for (const char* bad : {"nan", "inf", "1e30", "0.5", "\"7\""}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(value("counter", bad), DecodeError);
+    EXPECT_THROW(value("gauge", bad), DecodeError);
+  }
+  EXPECT_THROW(value("counter", "-1"), DecodeError);
+  EXPECT_THROW(value("counter", "18446744073709551616"), DecodeError);
+  EXPECT_THROW(value("gauge", "9223372036854775808"), DecodeError);
+  EXPECT_EQ(value("gauge", "-1").points.at(0).gauge, -1);
+  const auto histogram = [&](const std::string& min_max,
+                             std::size_t buckets) {
+    std::string list;
+    for (std::size_t i = 0; i < buckets; ++i) list += i ? ",0" : "0";
+    return point("histogram", "\"count\":0,\"sum\":0," + min_max +
+                                  ",\"buckets\":[" + list + "]");
+  };
+  EXPECT_NO_THROW(obs::parse_json_lines(
+      histogram("\"min\":0,\"max\":0", Histogram::kBuckets)));
+  EXPECT_THROW(obs::parse_json_lines(histogram("\"min\":0,\"max\":0", 2001)),
+               DecodeError);
+  EXPECT_THROW(obs::parse_json_lines(histogram("\"min\":5,\"max\":1", 64)),
+               DecodeError);
+  EXPECT_THROW(obs::parse_json_lines(histogram("\"min\":nan,\"max\":1", 64)),
+               DecodeError);
+
+  // 30,000 nested label objects (~180 KB, far under the message cap):
+  // one level of nesting is all a line may hold, so this cannot recurse.
+  std::string deep = "{\"type\":\"counter\",\"name\":\"acex.x\",\"label\":";
+  for (int i = 0; i < 30000; ++i) deep += "{\"a\":";
+  deep += "\"v\"" + std::string(30000, '}') + ",\"value\":1}\n";
+  EXPECT_THROW(obs::parse_json_lines(deep), DecodeError);
+}
+
+TEST(ObsExport, IntegerSeriesRoundTripExactly) {
+  // Counters above 2^53 would lose their low bits through a double.
+  for (const std::uint64_t v : {(1ull << 53) + 1, ~0ull}) {
+    MetricsRegistry reg;
+    reg.counter("acex.test.big").add(v);
+    reg.gauge("acex.test.low").set(std::numeric_limits<std::int64_t>::min());
+    const MetricsSnapshot s = reg.snapshot();
+    const MetricsSnapshot parsed = obs::parse_json_lines(obs::to_json_lines(s));
+    expect_snapshots_equal(s, parsed);
+    EXPECT_EQ(parsed.find("acex.test.big")->counter, v);
+  }
 }
 
 // -------------------------------------------- telemetry robustness (§3.1)

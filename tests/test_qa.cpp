@@ -11,6 +11,7 @@
 
 #include "compress/frame.hpp"
 #include "compress/registry.hpp"
+#include "obs/metrics.hpp"
 #include "qa/corpus.hpp"
 #include "qa/generators.hpp"
 #include "qa/mutate.hpp"
@@ -265,6 +266,42 @@ TEST(QaOracle, CleanInputsPassEveryOracle) {
   EXPECT_TRUE(p.ok) << p.detail;
   const qa::Verdict e = qa::event_survives(qa::seed_event_wire(3));
   EXPECT_TRUE(e.ok) << e.detail;
+}
+
+TEST(QaOracle, CheckSeriesComparesEachSeriesDeltaWithItsTruth) {
+  obs::MetricsRegistry reg;
+  reg.counter("acex.qa.events").add(10);  // history the delta must ignore
+  reg.histogram("acex.qa.us").record(1);
+  const obs::MetricsSnapshot before = reg.snapshot();
+  reg.counter("acex.qa.events").add(5);
+  reg.gauge("acex.qa.depth").sub(2);
+  reg.counter("acex.qa.frames", "subscriber", "s1").add(3);
+  for (const double us : {4.0, 40.0, 400.0}) {
+    reg.histogram("acex.qa.us").record(us);
+  }
+  const obs::MetricsSnapshot after = reg.snapshot();
+
+  const std::vector<qa::SeriesRow> truth = {
+      {"acex.qa.events", 5},
+      {"acex.qa.depth", static_cast<std::uint64_t>(-2)},
+      {"acex.qa.frames{subscriber=\"s1\"}", 3},
+      {"acex.qa.us", 3},  // a histogram's count
+      {"acex.qa.absent", 0},
+  };
+  EXPECT_TRUE(qa::check_series(before, after, truth).empty());
+
+  // Every row off by one: one violation per row, each naming its series.
+  std::vector<qa::SeriesRow> wrong = truth;
+  for (qa::SeriesRow& row : wrong) ++row.truth;
+  const std::vector<std::string> violations =
+      qa::check_series(before, after, wrong);
+  ASSERT_EQ(violations.size(), wrong.size());
+  for (std::size_t i = 0; i < wrong.size(); ++i) {
+    EXPECT_EQ(violations[i].rfind(wrong[i].series + ":", 0), 0u)
+        << violations[i];
+  }
+  EXPECT_EQ(violations[1],
+            "acex.qa.depth: obs delta -2 != ground truth -1");
 }
 
 TEST(QaOracle, CrossVersionHoldsAtVarintWidthBoundarySequences) {

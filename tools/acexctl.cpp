@@ -19,6 +19,10 @@
 // resumes the session on a fresh connection — the verified stream must
 // show no gap and no duplicate across the cut.
 //
+// stat sends one kStatRequest on a fresh connection with no hello, so the
+// probe opens no session, and prints the daemon's whole obs registry
+// (acex.net.*, acex.broker.*, acex.session.*, ...) as text.
+//
 // Exit codes: 0 ok, 1 verification/protocol failure, 2 timeout, 64 usage.
 
 #include <cstdio>
@@ -31,7 +35,9 @@
 #include "broker/broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_stream.hpp"
+#include "obs/export.hpp"
 #include "util/crc32.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -137,23 +143,22 @@ long scan_blocks(ByteView stream, std::uint64_t seed, bool verify,
   return count;
 }
 
-int cmd_stat(std::uint16_t port) {
-  net::DaemonClientConfig cfg;
-  net::DaemonClient client(port, cfg);
-  const net::DaemonStats s = client.stat();
-  std::printf(
-      "acexctl stat: connections=%llu open=%llu handshakes=%llu "
-      "rejects=%llu bytes_in=%llu bytes_out=%llu wakeups=%llu "
-      "blocks=%llu\n",
-      static_cast<unsigned long long>(s.connections_total),
-      static_cast<unsigned long long>(s.connections_open),
-      static_cast<unsigned long long>(s.handshakes),
-      static_cast<unsigned long long>(s.rejects),
-      static_cast<unsigned long long>(s.bytes_in),
-      static_cast<unsigned long long>(s.bytes_out),
-      static_cast<unsigned long long>(s.loop_wakeups),
-      static_cast<unsigned long long>(s.blocks_published));
-  client.bye();
+int cmd_stat(std::uint16_t port, int timeout_ms) {
+  const net::ScopedFd fd(net::connect_loopback(port));
+  net::send_message(fd.get(), net::wrap(net::MsgKind::kStatRequest, {}));
+  if (!net::wait_readable(fd.get(), timeout_ms)) {
+    std::fprintf(stderr, "acexctl: stat reply timed out\n");
+    return 2;
+  }
+  const auto frame = net::recv_message(fd.get());
+  if (!frame) throw IoError("daemon closed before the stat reply");
+  const net::Msg reply = net::unwrap(*frame);
+  if (reply.kind != net::MsgKind::kStatReply) {
+    throw IoError("expected a stat reply, got " +
+                  std::string(net::msg_kind_name(reply.kind)));
+  }
+  const std::string json(reply.payload.begin(), reply.payload.end());
+  std::fputs(obs::to_text(obs::parse_json_lines(json)).c_str(), stdout);
   return 0;
 }
 
@@ -224,7 +229,7 @@ int main(int argc, char** argv) {
   if (port == 0) usage();
 
   try {
-    if (cmd == "stat") return cmd_stat(port);
+    if (cmd == "stat") return cmd_stat(port, cfg.io_timeout_ms);
 
     if (verify_wire) {
       // Pin method selection: an unreachable target rate escalates every

@@ -37,13 +37,15 @@
 //   acexfuzz --handshake                 daemon handshake/protocol codec
 //                                        battery: truncation + bit-flip +
 //                                        varint mutations of offer/params/
-//                                        welcome/reject/nack/stat wire
-//                                        images — nothing but a typed
-//                                        HandshakeError may escape, valid
-//                                        inputs must re-encode to a byte-
-//                                        identical fixpoint, and negotiate()
-//                                        must hold its invariants under
-//                                        random offer x policy pairs
+//                                        welcome/reject/nack wire images —
+//                                        nothing but a typed HandshakeError
+//                                        may escape (DecodeError for the
+//                                        obs JSON stat-reply payload),
+//                                        valid inputs must re-encode to a
+//                                        byte-identical fixpoint, and
+//                                        negotiate() must hold its
+//                                        invariants under random offer x
+//                                        policy pairs
 //   acexfuzz --shm                       shared-memory descriptor battery:
 //                                        mutated/truncated/varint-mangled
 //                                        slab descriptors injected into a
@@ -88,6 +90,7 @@
 #include "compress/zlib_codec.hpp"
 #include "net/handshake.hpp"
 #include "net/protocol.hpp"
+#include "obs/export.hpp"
 #include "qa/chaos.hpp"
 #include "qa/corpus.hpp"
 #include "qa/generators.hpp"
@@ -484,14 +487,15 @@ int run_chaos_mode(const Options& opt) {
 // -------------------------------------------------------------- handshake
 /// One fuzz target: a canonical wire image plus a decode->re-encode->
 /// re-decode fixpoint check. `decode_fixpoint` must throw HandshakeError
-/// (and nothing else) on inputs it cannot accept; when it accepts, the
-/// re-encoded form must decode back to the same value (canonicalization
-/// is a fixpoint, so a forged-but-parseable image cannot smuggle state
-/// that survives one hop but not two).
+/// (and nothing else) on inputs it cannot accept — DecodeError for the
+/// `json` target; when it accepts, the re-encoded form must decode back to
+/// the same value (canonicalization is a fixpoint, so a forged-but-
+/// parseable image cannot smuggle state that survives one hop but not two).
 struct HandshakeTarget {
   const char* tag;
   Bytes wire;
   void (*decode_fixpoint)(ByteView);
+  bool json = false;  ///< obs JSON lines, not a handshake codec
 };
 
 void offer_fixpoint(ByteView wire) {
@@ -524,10 +528,12 @@ void nack_fixpoint(ByteView wire) {
   if (a != b) throw std::logic_error("nack fixpoint violated");
 }
 
-void stats_fixpoint(ByteView wire) {
-  const net::DaemonStats a = net::stats_decode(wire);
-  const net::DaemonStats b = net::stats_decode(net::stats_encode(a));
-  if (!(a == b)) throw std::logic_error("stats fixpoint violated");
+void metrics_fixpoint(ByteView wire) {
+  const std::string text(wire.begin(), wire.end());
+  const std::string a = obs::to_json_lines(obs::parse_json_lines(text));
+  if (obs::to_json_lines(obs::parse_json_lines(a)) != a) {
+    throw std::logic_error("metrics fixpoint violated");
+  }
 }
 
 void msg_fixpoint(ByteView wire) {
@@ -596,10 +602,19 @@ std::vector<HandshakeTarget> handshake_targets(std::uint64_t seed) {
   }
   targets.push_back({"nack", net::nack_encode(sequences), &nack_fixpoint});
 
-  net::DaemonStats stats;
-  stats.connections_total = rng.below(1 << 16);
-  stats.bytes_out = rng.below(1ull << 40);
-  targets.push_back({"stats", net::stats_encode(stats), &stats_fixpoint});
+  // The kStatReply payload: a counter, a gauge, a labelled series and a
+  // histogram, exported the way acexd answers a stat probe.
+  obs::MetricsRegistry metrics;
+  metrics.counter("acex.net.handshakes").add(rng());
+  metrics.gauge("acex.net.connections_open")
+      .set(static_cast<std::int64_t>(rng.below(1 << 16)) - (1 << 15));
+  metrics.counter("acex.broker.sub.frames", "subscriber", fresh.name)
+      .add(rng.below(1ull << 40));
+  obs::Histogram& wait = metrics.histogram("acex.shm.reclaim_wait_seconds");
+  for (int i = 0; i < 8; ++i) wait.record(rng.uniform() * 1e4);
+  const std::string json = obs::to_json_lines(metrics.snapshot());
+  targets.push_back({"metrics", Bytes(json.begin(), json.end()),
+                     &metrics_fixpoint, /*json=*/true});
 
   targets.push_back(
       {"msg", net::wrap(net::MsgKind::kControl, net::offer_encode(fresh)),
@@ -653,11 +668,17 @@ int run_handshake(const Options& opt) {
         ++inputs;
         try {
           target.decode_fixpoint(evil);
-        } catch (const net::HandshakeError&) {
-          // The one sanctioned outcome for garbage.
         } catch (const std::exception& e) {
-          finding(target.tag, std::string("non-handshake escape: ") +
-                                  e.what());
+          // The one sanctioned outcome for garbage: a typed HandshakeError,
+          // or a DecodeError from the JSON target.
+          const bool sanctioned =
+              target.json ? dynamic_cast<const DecodeError*>(&e) != nullptr
+                          : dynamic_cast<const net::HandshakeError*>(&e) !=
+                                nullptr;
+          if (!sanctioned) {
+            finding(target.tag, std::string("unsanctioned escape: ") +
+                                    e.what());
+          }
         }
       }
     }

@@ -12,7 +12,8 @@
 // by FaultInjectingTransport must match the injector's own tallies exactly,
 // the NACK/retransmit counters must match the sender/receiver bookkeeping,
 // and every histogram must satisfy p50 <= p99. Any violation exits 1 —
-// CI runs this binary as a test.
+// CI runs this binary as a test. In every mode each obs comparison is one
+// (series, ground truth) row checked by qa::check_series.
 //
 // --chaos SESSIONS runs the session-resilience battery instead: SESSIONS
 // durable sessions are killed and reconnected mid-stream over faulted
@@ -52,6 +53,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "qa/chaos.hpp"
+#include "qa/oracles.hpp"
 #include "shm/bus.hpp"
 #include "transport/fault_transport.hpp"
 #include "transport/sim_transport.hpp"
@@ -123,21 +125,48 @@ void write_output(const std::string& path, const std::string& text) {
   if (!out) throw IoError("failed writing " + path);
 }
 
-/// One cross-check line; returns false (and complains) on mismatch.
-bool check_eq(const char* what, std::uint64_t obs_value,
-              std::uint64_t expected, int& failures) {
-  if (obs_value == expected) return true;
-  std::fprintf(stderr, "acexstat: MISMATCH %s: obs=%llu expected=%llu\n", what,
-               static_cast<unsigned long long>(obs_value),
-               static_cast<unsigned long long>(expected));
-  ++failures;
-  return false;
+using Failures = std::vector<std::string>;
+
+/// Scope every series to this run (the instruments themselves are
+/// process-wide and permanent; only the values reset). Returns the zeroed
+/// snapshot the run's obs rows are measured from.
+obs::MetricsSnapshot reset_registry() {
+  obs::MetricsRegistry::global().reset_values();
+  obs::BlockTracer::global().clear();
+  return obs::MetricsRegistry::global().snapshot();
 }
 
-std::uint64_t counter_value(const obs::MetricsSnapshot& snapshot,
-                            const std::string& name) {
-  const obs::MetricPoint* p = snapshot.find(name);
-  return p ? p->counter : 0;
+/// Check `rows` against the registry as it stands now.
+void check_rows(Failures& failures, const obs::MetricsSnapshot& before,
+                const std::vector<qa::SeriesRow>& rows) {
+  for (std::string& v : qa::check_series(
+           before, obs::MetricsRegistry::global().snapshot(), rows)) {
+    failures.push_back("MISMATCH " + std::move(v));
+  }
+}
+
+/// A plain (non-obs) identity check.
+void expect_identity(Failures& failures, const std::string& what,
+                     std::uint64_t got, std::uint64_t want) {
+  if (got != want) {
+    failures.push_back("MISMATCH " + what + ": " + std::to_string(got) +
+                       " != " + std::to_string(want));
+  }
+}
+
+/// Every mode's epilogue: each failure, then the verdict. `ok` is printed
+/// only when every check held.
+int verdict(const Failures& failures, const char* ok) {
+  for (const std::string& f : failures) {
+    std::fprintf(stderr, "acexstat: %s\n", f.c_str());
+  }
+  if (!failures.empty()) {
+    std::fprintf(stderr, "acexstat: %zu consistency check(s) FAILED\n",
+                 failures.size());
+    return 1;
+  }
+  if (ok != nullptr) std::printf("  %s\n", ok);
+  return 0;
 }
 
 int usage() {
@@ -169,8 +198,7 @@ struct DemoSubscriber {
 };
 
 int run_broker_demo(const Options& opt) {
-  obs::MetricsRegistry::global().reset_values();
-  obs::BlockTracer::global().clear();
+  const obs::MetricsSnapshot before = reset_registry();
 
   const std::size_t block_size = opt.block_kib * 1024;
   VirtualClock clock;
@@ -234,24 +262,20 @@ int run_broker_demo(const Options& opt) {
     broker.publish(block);
   }
 
-  int failures = 0;
+  Failures failures;
   const auto drain = [&](DemoSubscriber& sub) {
     for (const adaptive::FrameOutcome& f : sub.rx->receive_report().frames) {
       if (f.status != adaptive::FrameOutcome::Status::kOk) continue;
+      const std::string block =
+          sub.name + " block " + std::to_string(f.sequence);
       if (f.sequence >= truth.size()) {
-        std::fprintf(stderr, "acexstat: %s got unpublished sequence %llu\n",
-                     sub.name.c_str(),
-                     static_cast<unsigned long long>(f.sequence));
-        ++failures;
+        failures.push_back(block + " was never published");
         continue;
       }
       const std::uint32_t got = crc32(f.data);
       sub.recovered.emplace(f.sequence, got);
       if (got != truth[static_cast<std::size_t>(f.sequence)]) {
-        std::fprintf(stderr, "acexstat: %s block %llu payload diverged\n",
-                     sub.name.c_str(),
-                     static_cast<unsigned long long>(f.sequence));
-        ++failures;
+        failures.push_back(block + " payload diverged");
       }
     }
   };
@@ -269,61 +293,41 @@ int run_broker_demo(const Options& opt) {
     }
   }
 
-  // ---------------------- obs counters vs ground truth, per subscriber --
-  auto& reg = obs::MetricsRegistry::global();
+  // Obs rows: every broker series equals the broker's own bookkeeping, and
+  // the fault mirror the demo's own injectors (the only ones alive).
   const broker::BrokerStats bs = broker.stats();
   std::uint64_t total_frames = 0;
+  std::uint64_t fault_messages = 0;
+  std::vector<qa::SeriesRow> rows = {
+      {"acex.broker.blocks", bs.blocks},
+      {"acex.broker.encode_cache.hits", bs.cache_hits},
+      {"acex.broker.encode_cache.misses", bs.cache_misses},
+      {"acex.broker.subscribers", subs.size()},
+  };
   for (auto& sub : subs) {
     const broker::SubscriberStats ss = broker.subscriber_stats(sub->id);
     total_frames += ss.frames;
-    const std::string tag = "sub." + sub->name;
-    check_eq((tag + ".frames").c_str(),
-             reg.counter("acex.broker.sub.frames", "subscriber", sub->name)
-                 .value(),
-             ss.frames, failures);
-    check_eq((tag + ".drops").c_str(),
-             reg.counter("acex.broker.sub.drops", "subscriber", sub->name)
-                 .value(),
-             ss.drops, failures);
-    check_eq((tag + ".fallbacks").c_str(),
-             reg.counter("acex.broker.sub.fallbacks", "subscriber", sub->name)
-                 .value(),
-             ss.fallbacks, failures);
-    check_eq((tag + ".recovered").c_str(), sub->recovered.size(),
-             truth.size(), failures);
+    if (sub->lossy) fault_messages += sub->lossy->counters().messages;
+    const std::string label = "{subscriber=\"" + sub->name + "\"}";
+    rows.push_back({"acex.broker.sub.frames" + label, ss.frames});
+    rows.push_back({"acex.broker.sub.drops" + label, ss.drops});
+    rows.push_back({"acex.broker.sub.fallbacks" + label, ss.fallbacks});
+    expect_identity(failures, sub->name + " recovered blocks",
+                    sub->recovered.size(), truth.size());
     if (broker.disconnected(sub->id)) {
-      std::fprintf(stderr, "acexstat: %s disconnected unexpectedly\n",
-                   sub->name.c_str());
-      ++failures;
+      failures.push_back(sub->name + " disconnected unexpectedly");
     }
   }
+  rows.push_back({"acex.transport.fault.messages", fault_messages});
+  check_rows(failures, before, rows);
 
-  // Broker-wide identities: every series equals the broker's bookkeeping,
-  // the cache accounts for every planned frame, and misses == codec runs.
-  check_eq("broker.blocks",
-           reg.counter("acex.broker.blocks").value(), bs.blocks, failures);
-  check_eq("broker.blocks.truth", bs.blocks, truth.size(), failures);
-  check_eq("broker.cache.hits",
-           reg.counter("acex.broker.encode_cache.hits").value(), bs.cache_hits,
-           failures);
-  check_eq("broker.cache.misses",
-           reg.counter("acex.broker.encode_cache.misses").value(),
-           bs.cache_misses, failures);
-  check_eq("broker.encodes==misses", bs.encodes, bs.cache_misses, failures);
-  check_eq("broker.cache.total", bs.cache_hits + bs.cache_misses,
-           total_frames, failures);
-  check_eq("broker.subscribers",
-           static_cast<std::uint64_t>(
-               reg.gauge("acex.broker.subscribers").value()),
-           subs.size(), failures);
-  // Fault mirror: the only injectors alive are the demo's own.
-  std::uint64_t fault_messages = 0;
-  for (const auto& sub : subs) {
-    if (sub->lossy) fault_messages += sub->lossy->counters().messages;
-  }
-  check_eq("fault.messages",
-           reg.counter("acex.transport.fault.messages").value(),
-           fault_messages, failures);
+  // Plain identities: the cache accounts for every planned frame, and
+  // misses == codec runs.
+  expect_identity(failures, "broker blocks", bs.blocks, truth.size());
+  expect_identity(failures, "broker encodes vs misses", bs.encodes,
+                  bs.cache_misses);
+  expect_identity(failures, "broker cache lookups",
+                  bs.cache_hits + bs.cache_misses, total_frames);
 
   const double hit_ratio =
       bs.cache_hits + bs.cache_misses == 0
@@ -341,13 +345,7 @@ int run_broker_demo(const Options& opt) {
       static_cast<unsigned long long>(bs.cache_hits), hit_ratio * 100.0,
       static_cast<unsigned long long>(bs.last_groups), truth.size(),
       truth.size());
-  if (failures != 0) {
-    std::fprintf(stderr, "acexstat: %d broker consistency check(s) FAILED\n",
-                 failures);
-    return 1;
-  }
-  std::printf("  obs counters match ground truth on every series\n");
-  return 0;
+  return verdict(failures, "obs counters match ground truth on every series");
 }
 
 // ----------------------------------------- shared-memory fan-out demo
@@ -365,13 +363,10 @@ struct ShmDemoCapture final : transport::Transport {
 };
 
 int run_shm_demo(const Options& opt) {
-  obs::MetricsRegistry::global().reset_values();
-  obs::BlockTracer::global().clear();
-
+  const obs::MetricsSnapshot before = reset_registry();
   const std::size_t block_size = opt.block_kib * 1024;
   const Bytes data = make_payload(opt.blocks, block_size, opt.seed);
-  int failures = 0;
-  auto& reg = obs::MetricsRegistry::global();
+  Failures failures;
 
   // Phase 1: fan out through a well-sized slab ring and verify the
   // descriptor path carries frames byte-identical to a capture transport.
@@ -414,16 +409,12 @@ int run_shm_demo(const Options& opt) {
         // Mid-flight, with every frame still pinned by descriptors and
         // retransmit rings: the gauges must mirror the ring exactly.
         const shm::RingStats mid = bus->ring().stats();
-        check_eq("shm.slabs_in_use.gauge",
-                 static_cast<std::uint64_t>(
-                     reg.gauge("acex.shm.slabs_in_use").value()),
-                 mid.slabs_in_use, failures);
-        check_eq("shm.occupancy.gauge",
-                 static_cast<std::uint64_t>(
-                     reg.gauge("acex.shm.ring.occupancy_pct").value()),
-                 static_cast<std::uint64_t>(100.0 * mid.slabs_in_use /
-                                            static_cast<double>(mid.slab_count)),
-                 failures);
+        check_rows(failures, before,
+                   {{"acex.shm.slabs_in_use", mid.slabs_in_use},
+                    {"acex.shm.ring.occupancy_pct",
+                     static_cast<std::uint64_t>(
+                         100.0 * mid.slabs_in_use /
+                         static_cast<double>(mid.slab_count))}});
       }
       std::vector<std::vector<Bytes>> out(opt.shm_subs);
       for (std::size_t i = 0; i < opt.shm_subs; ++i) {
@@ -442,18 +433,18 @@ int run_shm_demo(const Options& opt) {
     const auto via_shm = fan_out(&bus);
     for (std::size_t i = 0; i < opt.shm_subs; ++i) {
       if (reference[i] != via_shm[i]) {
-        std::fprintf(stderr,
-                     "acexstat: MISMATCH shm subscriber %zu frames differ "
-                     "from the capture path\n", i);
-        ++failures;
+        failures.push_back("MISMATCH shm subscriber " + std::to_string(i) +
+                           " frames differ from the capture path");
       }
-      check_eq("shm.frames_per_sub", via_shm[i].size(), opt.blocks, failures);
+      expect_identity(failures, "shm frames per subscriber",
+                      via_shm[i].size(), opt.blocks);
     }
     ring_truth = bus.ring().stats();
     bus_truth = bus.stats();
-    check_eq("shm.copy_fallbacks.phase1", bus_truth.copy_fallbacks, 0,
-             failures);
-    check_eq("shm.staged_frames", bus_truth.staged, opt.blocks, failures);
+    expect_identity(failures, "shm phase-1 copy fallbacks",
+                    bus_truth.copy_fallbacks, 0);
+    expect_identity(failures, "shm staged frames", bus_truth.staged,
+                    opt.blocks);
   }
 
   // Phase 2: a deliberately undersized ring (2 slabs, zero reclaim grace)
@@ -473,8 +464,8 @@ int run_shm_demo(const Options& opt) {
     ep->send(small);
     std::optional<BufferView> held = ep->receive_buffer();
     if (!held) {
-      std::fprintf(stderr, "acexstat: shm stress receive came up empty\n");
-      return 1;
+      failures.push_back("shm stress receive came up empty");
+      return verdict(failures, nullptr);
     }
     ep->send(small);
     ep->send(small);  // ring full: force-reclaims the held view's slab
@@ -491,37 +482,32 @@ int run_shm_demo(const Options& opt) {
     while (ep->receive_buffer()) {
     }
     stale_descriptors += ep->stats().stale_descriptors;
-    check_eq("shm.stress.corrupt", ep->stats().corrupt_descriptors, 1,
-             failures);
-    check_eq("shm.stress.stale", ep->stats().stale_descriptors, 1, failures);
+    expect_identity(failures, "shm stress corrupt descriptors",
+                    ep->stats().corrupt_descriptors, 1);
+    expect_identity(failures, "shm stress stale descriptors",
+                    ep->stats().stale_descriptors, 1);
   }
   const shm::RingStats tiny_truth = tiny.ring().stats();
   const shm::ShmBusStats tiny_bus = tiny.stats();
 
   // Every acex.shm.* series must equal the sum of the two rings' own
-  // bookkeeping (the instruments are process-global, the truth is not).
-  check_eq("shm.copy_fallbacks",
-           reg.counter("acex.shm.copy_fallbacks").value(),
-           bus_truth.copy_fallbacks + tiny_bus.copy_fallbacks, failures);
-  check_eq("shm.force_reclaims",
-           reg.counter("acex.shm.force_reclaims").value(),
-           ring_truth.force_reclaims + tiny_truth.force_reclaims, failures);
-  check_eq("shm.stale_releases",
-           reg.counter("acex.shm.stale_releases").value(),
-           ring_truth.stale_releases + tiny_truth.stale_releases, failures);
-  check_eq("shm.stale_descriptors",
-           reg.counter("acex.shm.stale_descriptors").value(),
-           stale_descriptors, failures);
-  check_eq("shm.reclaim_wait.count",
-           reg.histogram("acex.shm.reclaim_wait_seconds").count(),
-           ring_truth.reclaim_waits + tiny_truth.reclaim_waits, failures);
-  check_eq("shm.stress.force_reclaims", tiny_truth.force_reclaims, 2,
-           failures);
-  // Everything was drained and released: the gauges must read empty.
-  check_eq("shm.slabs_in_use.final",
-           static_cast<std::uint64_t>(
-               reg.gauge("acex.shm.slabs_in_use").value()),
-           ring_truth.slabs_in_use + tiny_truth.slabs_in_use, failures);
+  // bookkeeping (the instruments are process-global, the truth is not);
+  // everything was drained and released, so the gauge must read empty.
+  check_rows(
+      failures, before,
+      {{"acex.shm.copy_fallbacks",
+        bus_truth.copy_fallbacks + tiny_bus.copy_fallbacks},
+       {"acex.shm.force_reclaims",
+        ring_truth.force_reclaims + tiny_truth.force_reclaims},
+       {"acex.shm.stale_releases",
+        ring_truth.stale_releases + tiny_truth.stale_releases},
+       {"acex.shm.stale_descriptors", stale_descriptors},
+       {"acex.shm.reclaim_wait_seconds",
+        ring_truth.reclaim_waits + tiny_truth.reclaim_waits},
+       {"acex.shm.slabs_in_use",
+        ring_truth.slabs_in_use + tiny_truth.slabs_in_use}});
+  expect_identity(failures, "shm stress force-reclaims",
+                  tiny_truth.force_reclaims, 2);
 
   std::printf(
       "acexstat --shm: %zu subscribers x %zu blocks (%zu KiB), %zu workers\n"
@@ -538,54 +524,34 @@ int run_shm_demo(const Options& opt) {
       static_cast<unsigned long long>(tiny_truth.force_reclaims),
       static_cast<unsigned long long>(tiny_truth.stale_releases),
       static_cast<unsigned long long>(stale_descriptors));
-  if (failures != 0) {
-    std::fprintf(stderr, "acexstat: %d shm consistency check(s) FAILED\n",
-                 failures);
-    return 1;
-  }
-  std::printf("  shm obs series match ground truth on every series, frames "
-              "byte-identical to the capture path\n");
-  return 0;
+  return verdict(failures,
+                 "shm obs series match ground truth on every series, frames "
+                 "byte-identical to the capture path");
 }
 
 // -------------------------------------------------- chaos battery mode
 int run_chaos_stat(const Options& opt) {
-  // Reset first so the session series are exactly this run's ground truth
-  // (the harness's own mirror checks use deltas; here we can be absolute).
-  obs::MetricsRegistry::global().reset_values();
-  obs::BlockTracer::global().clear();
-
+  const obs::MetricsSnapshot before = reset_registry();
   qa::ChaosConfig config;
   config.sessions = opt.chaos_sessions;
   config.seed = opt.seed;
   const qa::ChaosReport report = qa::run_chaos(config);
 
-  int failures = 0;
+  Failures failures;
   for (const std::string& violation : report.violations) {
-    std::fprintf(stderr, "acexstat: CHAOS VIOLATION %s\n", violation.c_str());
-    ++failures;
+    failures.push_back("CHAOS VIOLATION " + violation);
   }
-
-  auto& reg = obs::MetricsRegistry::global();
-  check_eq("session.resumes", reg.counter("acex.session.resumes").value(),
-           report.resumes, failures);
-  check_eq("session.restarts", reg.counter("acex.session.restarts").value(),
-           report.restarts, failures);
-  check_eq("session.expired", reg.counter("acex.session.expired").value(),
-           report.expired, failures);
-  check_eq("session.heartbeats", reg.counter("acex.session.heartbeats").value(),
-           report.heartbeats, failures);
-  // Every session ends the run attached: live gauge full, parked empty,
-  // and the budget ladder back at its normal stage.
-  check_eq("session.live",
-           static_cast<std::uint64_t>(reg.gauge("acex.session.live").value()),
-           opt.chaos_sessions, failures);
-  check_eq("session.parked",
-           static_cast<std::uint64_t>(reg.gauge("acex.session.parked").value()),
-           0, failures);
-  check_eq("budget.stage",
-           static_cast<std::uint64_t>(reg.gauge("acex.budget.stage").value()),
-           0, failures);
+  // The session series against the harness's own report, and every
+  // session ending the run attached: live gauge full, parked empty, and
+  // the budget ladder back at its normal stage.
+  check_rows(failures, before,
+             {{"acex.session.resumes", report.resumes},
+              {"acex.session.restarts", report.restarts},
+              {"acex.session.expired", report.expired},
+              {"acex.session.heartbeats", report.heartbeats},
+              {"acex.session.live", opt.chaos_sessions},
+              {"acex.session.parked", 0},
+              {"acex.budget.stage", 0}});
 
   std::printf(
       "acexstat --chaos: %zu sessions, seed %llu, %zu rounds, %llu blocks\n"
@@ -598,22 +564,12 @@ int run_chaos_stat(const Options& opt) {
       static_cast<unsigned long long>(report.restarts),
       static_cast<unsigned long long>(report.expired),
       static_cast<unsigned long long>(report.delivered));
-  if (failures != 0) {
-    std::fprintf(stderr, "acexstat: %d chaos consistency check(s) FAILED\n",
-                 failures);
-    return 1;
-  }
-  std::printf("  session obs series match ground truth, every session "
-              "resumed byte-exact\n");
-  return 0;
+  return verdict(failures, "session obs series match ground truth, every "
+                           "session resumed byte-exact");
 }
 
 int run(const Options& opt) {
-  // Scope every series to this run (the instruments themselves are
-  // process-wide and permanent; only the values reset).
-  obs::MetricsRegistry::global().reset_values();
-  obs::BlockTracer::global().clear();
-
+  const obs::MetricsSnapshot before = reset_registry();
   VirtualClock clock;
   netsim::SimLink forward(flat_link(5e6), opt.seed);
   netsim::SimLink reverse(flat_link(1e9), opt.seed + 1);
@@ -667,44 +623,26 @@ int run(const Options& opt) {
   const std::vector<obs::SpanEvent> spans = obs::BlockTracer::global().snapshot();
 
   // ------------------------------------------------ consistency checks
-  int failures = 0;
   const transport::FaultCounters& c = lossy.counters();
-  check_eq("fault.messages",
-           counter_value(snapshot, "acex.transport.fault.messages"),
-           c.messages, failures);
-  check_eq("fault.drops", counter_value(snapshot, "acex.transport.fault.drops"),
-           c.drops, failures);
-  check_eq("fault.reorders",
-           counter_value(snapshot, "acex.transport.fault.reorders"), c.reorders,
-           failures);
-  check_eq("fault.duplicates",
-           counter_value(snapshot, "acex.transport.fault.duplicates"),
-           c.duplicates, failures);
-  check_eq("fault.bit_flips",
-           counter_value(snapshot, "acex.transport.fault.bit_flips"),
-           c.bit_flips, failures);
-  check_eq("fault.truncations",
-           counter_value(snapshot, "acex.transport.fault.truncations"),
-           c.truncations, failures);
-  check_eq("fault.clean", counter_value(snapshot, "acex.transport.fault.clean"),
-           c.clean, failures);
-  check_eq("rx.nacks_issued",
-           counter_value(snapshot, "acex.adaptive.rx.nacks_issued"),
-           nacks_issued, failures);
-  check_eq("tx.retransmits",
-           counter_value(snapshot, "acex.adaptive.retransmits"),
-           sender.degradation().retransmits, failures);
-  check_eq("blocks", counter_value(snapshot, "acex.adaptive.blocks"),
-           stream.blocks.size(), failures);
-
+  Failures failures;
+  check_rows(failures, before,
+             {{"acex.transport.fault.messages", c.messages},
+              {"acex.transport.fault.drops", c.drops},
+              {"acex.transport.fault.reorders", c.reorders},
+              {"acex.transport.fault.duplicates", c.duplicates},
+              {"acex.transport.fault.bit_flips", c.bit_flips},
+              {"acex.transport.fault.truncations", c.truncations},
+              {"acex.transport.fault.clean", c.clean},
+              {"acex.adaptive.rx.nacks_issued", nacks_issued},
+              {"acex.adaptive.retransmits", sender.degradation().retransmits},
+              {"acex.adaptive.blocks", stream.blocks.size()}});
   for (const obs::MetricPoint& point : snapshot.points) {
     if (point.kind != obs::MetricPoint::Kind::kHistogram) continue;
     if (point.hist.count == 0) continue;
     if (!(point.hist.p50() <= point.hist.p99())) {
-      std::fprintf(stderr, "acexstat: INSANE QUANTILES %s: p50=%g > p99=%g\n",
-                   point.full_name().c_str(), point.hist.p50(),
-                   point.hist.p99());
-      ++failures;
+      failures.push_back("INSANE QUANTILES " + point.full_name() + ": p50=" +
+                         std::to_string(point.hist.p50()) + " > p99=" +
+                         std::to_string(point.hist.p99()));
     }
   }
 
@@ -747,12 +685,7 @@ int run(const Options& opt) {
     write_output(opt.prom_path, obs::to_prometheus(snapshot));
   }
 
-  if (failures != 0) {
-    std::fprintf(stderr, "acexstat: %d consistency check(s) FAILED\n",
-                 failures);
-    return 1;
-  }
-  return 0;
+  return verdict(failures, nullptr);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 # Daemon integration smoke (DESIGN.md §13): start acexd on an ephemeral
 # port, attach SUBS loopback acexctl subscribers with heterogeneous
 # negotiated parameters, kill one mid-stream and resume it, and demand
-# that every subscriber verifies every demo block byte-identically and
-# the daemon shuts down clean.
+# that every subscriber verifies every demo block byte-identically, that
+# an `acexctl stat` probe of the loaded daemon reads SUBS + 1 handshakes
+# and no rejects, and that the daemon shuts down clean.
 #
 # Environment / arguments:
 #   ACEXD, ACEXCTL  paths to the binaries (required)
@@ -74,6 +75,16 @@ for idx in "${!pids[@]}"; do
     fails=$((fails + 1))
   fi
 done
+
+# Probe the loaded daemon. The probe sends no hello, so it must not count
+# as a handshake: one per subscriber plus the victim's resume.
+"$ACEXCTL" stat --port "$PORT" > "$d/stat.log" 2>&1 ||
+  { echo "FAIL: acexctl stat"; cat "$d/stat.log"; exit 1; }
+series() { awk -v name="$1" '$2 == name { print $3 }' "$d/stat.log"; }
+[ "$(series acex.net.handshakes)" = "$((SUBS + 1))" ] &&
+  [ "$(series acex.net.rejects)" = "0" ] ||
+  { echo "FAIL: stat probe wants handshakes=$((SUBS + 1)) rejects=0:";
+    cat "$d/stat.log"; exit 1; }
 
 kill -TERM "$DPID"
 if ! wait "$DPID"; then
