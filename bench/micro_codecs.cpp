@@ -1,6 +1,8 @@
 // google-benchmark microbenches: per-codec compress/decompress throughput
-// on the two paper datasets plus the BWT/MTF/RLE pipeline stages and the
-// frame CRC-32 (one 16 KiB fan-out block, one 128 KiB WAN block). These
+// on the two paper datasets plus the BWT/MTF/RLE pipeline stages (the
+// rotation sort also on a molecular chunk and on an all-zero one, its
+// periodic worst case), LZ's match search, and the frame CRC-32 (one
+// 16 KiB fan-out block, one 128 KiB WAN block). These
 // are the steady-state numbers behind Figs. 3 and 4 with benchmark-grade
 // statistics (run with --benchmark_repetitions=... for confidence
 // intervals).
@@ -9,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "compress/bwt.hpp"
+#include "compress/lz77.hpp"
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
 #include "util/crc32.hpp"
@@ -47,10 +50,24 @@ void BM_Decompress(benchmark::State& state, MethodId method,
                           static_cast<std::int64_t>(data.size()));
 }
 
-void BM_BwtForward(benchmark::State& state) {
-  const ByteView block = ByteView(commercial()).subspan(0, 128 * 1024);
+const Bytes& zeros() {
+  static const Bytes data(128 * 1024, 0);
+  return data;
+}
+
+void BM_BwtForward(benchmark::State& state, const Bytes& data) {
+  const ByteView block = ByteView(data).subspan(0, 128 * 1024);
   for (auto _ : state) {
     benchmark::DoNotOptimize(bwt::forward(block));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+
+void BM_LzTokenize(benchmark::State& state) {
+  const ByteView block = ByteView(commercial()).subspan(0, 128 * 1024);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lz::tokenize(block));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(block.size()));
@@ -108,10 +125,16 @@ int main(int argc, char** argv) {
         ("decompress/" + name + "/commercial").c_str(), BM_Decompress, m,
         commercial());
   }
-  benchmark::RegisterBenchmark("stage/bwt_forward_128K", BM_BwtForward);
+  benchmark::RegisterBenchmark("stage/bwt_forward_128K", BM_BwtForward,
+                               commercial());
+  benchmark::RegisterBenchmark("stage/bwt_forward_molecular_128K",
+                               BM_BwtForward, molecular());
+  benchmark::RegisterBenchmark("stage/bwt_forward_zeros_128K", BM_BwtForward,
+                               zeros());
   benchmark::RegisterBenchmark("stage/bwt_inverse_128K", BM_BwtInverse);
   benchmark::RegisterBenchmark("stage/mtf_encode_128K", BM_MtfEncode);
   benchmark::RegisterBenchmark("stage/rle_encode_128K", BM_RleEncode);
+  benchmark::RegisterBenchmark("stage/lz_tokenize_128K", BM_LzTokenize);
   benchmark::RegisterBenchmark("stage/crc32_16K", BM_Crc32, 16 * 1024);
   benchmark::RegisterBenchmark("stage/crc32_128K", BM_Crc32, 128 * 1024);
 

@@ -39,36 +39,42 @@ CalibrationReport Calibrator::calibrate(ByteView sample,
   report.bw_reducing_speed = bw.reducing_speed();
   report.lz_throughput = lz.compress_throughput();
   report.bw_throughput = bw.compress_throughput();
+  report.params = derive(report, base);
+  report.params.validate();
+  return report;
+}
 
+DecisionParams Calibrator::derive(const CalibrationReport& measured,
+                                  const DecisionParams& base) const {
   DecisionParams params = base;
   params.alpha = overlap_credit_;  // ideal break-even alpha is 1.0
 
   // beta: the bandwidth below which Burrows-Wheeler's extra reduction pays
   // for its extra CPU, expressed as a multiple of the LZ reduce time.
-  const double r_lz = lz.ratio_percent() / 100.0;
-  const double r_bw = bw.ratio_percent() / 100.0;
+  const double r_lz = measured.lz_ratio_percent / 100.0;
+  const double r_bw = measured.bw_ratio_percent / 100.0;
   const double inv_thr_gap =
-      1.0 / std::max(report.bw_throughput, 1.0) -
-      1.0 / std::max(report.lz_throughput, 1.0);
-  if (r_lz > r_bw && inv_thr_gap > 0 && report.lz_reducing_speed > 0) {
+      1.0 / std::max(measured.bw_throughput, 1.0) -
+      1.0 / std::max(measured.lz_throughput, 1.0);
+  if (r_lz > r_bw && inv_thr_gap > 0 && measured.lz_reducing_speed > 0) {
     const double bw_cross = (r_lz - r_bw) / inv_thr_gap;
-    const double beta = report.lz_reducing_speed / bw_cross;
+    const double beta = measured.lz_reducing_speed / bw_cross;
     // Clamp to a sane band around the paper's constant: degenerate samples
     // (uniformly incompressible or trivially compressible) produce wild
     // crossings that would effectively disable one method.
     params.beta = std::clamp(beta, params.alpha + 0.1, 50.0);
   }
-  // else: BW never pays on this data; keep base.beta (the ratio_cut will
-  // already route such data to Huffman).
+  // else: BW compresses no harder (the ratio_cut will already route such
+  // data to Huffman), or it is at least as fast as LZ and so would pay on
+  // every link. Either way keep base.beta: it leaves LZ the band between
+  // alpha and beta, and LZ blocks are what the sender measures the LZ
+  // reduce time from, which its compress-or-not test reads.
 
   // ratio_cut: if LZ cannot beat Huffman's order-0 ratio, the data has no
   // string repetitions worth chasing.
   params.ratio_cut_percent =
-      std::clamp(report.huffman_ratio_percent, 30.0, 70.0);
-
-  report.params = params;
-  report.params.validate();
-  return report;
+      std::clamp(measured.huffman_ratio_percent, 30.0, 70.0);
+  return params;
 }
 
 }  // namespace acex::adaptive

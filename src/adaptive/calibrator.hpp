@@ -32,7 +32,9 @@ struct CalibrationReport {
 ///  * beta — Burrows-Wheeler beats LZ when
 ///    1/thr_bw + r_bw/bw < 1/thr_lz + r_lz/bw
 ///    <=> bw < (r_lz - r_bw) / (1/thr_bw - 1/thr_lz) =: bw_cross.
-///    Expressed against the LZ reduce time: beta = S_lz / bw_cross.
+///    Expressed against the LZ reduce time: beta = S_lz / bw_cross. When
+///    Burrows-Wheeler is at least as fast as LZ there is no crossing, and
+///    beta keeps its base value.
 ///
 ///  * ratio_cut — when LZ's sampled ratio is no better than what plain
 ///    Huffman achieves, the data lacks string repetitions and the cheap
@@ -43,11 +45,18 @@ class Calibrator {
   /// `overlap_credit` multiplies the ideal alpha of 1.0.
   explicit Calibrator(double overlap_credit = 0.83);
 
-  /// Measure the three relevant codecs on `sample` and derive constants.
-  /// `base` supplies block/sample sizes and fallbacks. Throws ConfigError
-  /// if the sample is too small to measure (< 4 KiB).
+  /// Measure the three relevant codecs on `sample` and derive constants
+  /// from the measurements with derive(). `base` supplies block/sample
+  /// sizes and fallbacks. Throws ConfigError if the sample is too small to
+  /// measure (< 4 KiB).
   CalibrationReport calibrate(ByteView sample,
                               const DecisionParams& base = {}) const;
+
+  /// The constants implied by `measured`'s ratios, throughputs and
+  /// reducing speeds (its `params` is ignored). Pure: no clock is read, so
+  /// the paper's own measurements can be fed in as well as this host's.
+  DecisionParams derive(const CalibrationReport& measured,
+                        const DecisionParams& base = {}) const;
 
  private:
   double overlap_credit_;

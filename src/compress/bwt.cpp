@@ -19,58 +19,52 @@ Transformed forward(ByteView block) {
     return result;
   }
 
-  // Prefix doubling over cyclic rotations with radix (counting) sorts:
-  // after round k, `rank[i]` orders rotations by their first 2^k
-  // characters. O(n log n) total — this is the codec's hot loop.
-  std::vector<std::uint32_t> idx(n), rank(n), next_rank(n), shifted(n);
-  std::vector<std::uint32_t> counts(std::max<std::size_t>(n, 256) + 1, 0);
+  // Prefix doubling over cyclic rotations: after the round with shift k,
+  // `idx` lists rotations sorted by their first 2k characters and rank[i]
+  // is the row where rotation i's group of equal prefixes starts. Ranks
+  // are bucket heads, so no round needs a counting pass. O(n log n).
+  const auto n32 = static_cast<std::uint32_t>(n);
+  std::vector<std::uint32_t> idx(n), out(n), rank(n), head(n);
+  std::array<std::uint32_t, 257> counts{};
+  for (const auto c : block) ++counts[c + 1];
+  std::uint32_t groups = 256 - std::count(counts.begin() + 1, counts.end(), 0u);
+  std::partial_sum(counts.begin(), counts.end(), counts.begin());
+  for (std::uint32_t i = 0; i < n32; ++i) rank[i] = counts[block[i]];
+  std::iota(head.begin(), head.end(), 0u);
+  for (std::uint32_t i = 0; i < n32; ++i) idx[head[rank[i]]++] = i;
 
-  // Round 0: counting sort by first character.
-  for (std::size_t i = 0; i < n; ++i) ++counts[block[i] + 1];
-  for (std::size_t c = 1; c <= 256; ++c) counts[c] += counts[c - 1];
-  for (std::size_t i = 0; i < n; ++i) {
-    idx[counts[block[i]]++] = static_cast<std::uint32_t>(i);
-  }
-  rank[idx[0]] = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    rank[idx[i]] = rank[idx[i - 1]] + (block[idx[i]] != block[idx[i - 1]]);
-  }
-
-  for (std::size_t k = 1; rank[idx[n - 1]] != n - 1 && k < n; k <<= 1) {
-    // Sorting pairs (rank[i], rank[(i+k) mod n]). `idx` is sorted by rank;
-    // shifting every position back by k yields the order sorted by the
-    // SECOND pair element, so one stable counting sort by the first
-    // element finishes the job.
-    for (std::size_t j = 0; j < n; ++j) {
-      shifted[j] = (idx[j] + static_cast<std::uint32_t>(n) -
-                    static_cast<std::uint32_t>(k % n)) %
-                   static_cast<std::uint32_t>(n);
+  // A round sorts by (rank[i], rank[i + k]): dealing i - k into its group
+  // in `idx` order keeps each group sorted by the second key. Each group
+  // starts where the original radix-pass sort's counting sort put it, so
+  // `idx`, ties included, is that sort's after every round.
+  for (std::uint32_t k = 1; groups < n && k < n; k <<= 1) {
+    std::iota(head.begin(), head.end(), 0u);
+    for (const std::uint32_t i : idx) {
+      const std::uint32_t s = i >= k ? i - k : i + n32 - k;
+      out[head[rank[s]]++] = s;
     }
-    const std::size_t classes = rank[idx[n - 1]] + 1;
-    std::fill(counts.begin(), counts.begin() + classes + 1, 0u);
-    for (std::size_t i = 0; i < n; ++i) ++counts[rank[i] + 1];
-    for (std::size_t c = 1; c <= classes; ++c) counts[c] += counts[c - 1];
-    for (std::size_t j = 0; j < n; ++j) {
-      idx[counts[rank[shifted[j]]]++] = shifted[j];
+    groups = 0;
+    std::uint32_t start = 0, first = n32, second = n32;
+    for (std::uint32_t row = 0; row < n32; ++row) {
+      const std::uint32_t s = out[row];
+      const std::uint32_t t = s < n32 - k ? s + k : s - (n32 - k);
+      if (rank[s] != first || rank[t] != second) {
+        start = row;
+        ++groups;
+        first = rank[s];
+        second = rank[t];
+      }
+      head[s] = start;
     }
-    // Re-rank by (first, second) pair equality.
-    const auto second = [&](std::uint32_t i) {
-      return rank[(i + k) % n];
-    };
-    next_rank[idx[0]] = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      const bool differs = rank[idx[i]] != rank[idx[i - 1]] ||
-                           second(idx[i]) != second(idx[i - 1]);
-      next_rank[idx[i]] = next_rank[idx[i - 1]] + differs;
-    }
-    rank.swap(next_rank);
+    rank.swap(head);
+    idx.swap(out);
   }
 
   result.last_column.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t start = idx[i];
-    result.last_column[i] = block[start == 0 ? n - 1 : start - 1];
-    if (start == 0) result.primary = static_cast<std::uint32_t>(i);
+  for (std::size_t row = 0; row < n; ++row) {
+    const std::size_t start = idx[row];
+    result.last_column[row] = block[start == 0 ? n - 1 : start - 1];
+    if (start == 0) result.primary = static_cast<std::uint32_t>(row);
   }
   return result;
 }

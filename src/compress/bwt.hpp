@@ -18,9 +18,14 @@ struct Transformed {
 /// Forward BWT over all cyclic rotations of `block` (§2.4 step 1).
 ///
 /// Rotation order is established with prefix doubling (Manber–Myers on the
-/// cyclic string), each round a counting (radix) sort: O(n log n) —
-/// deliberately the "slow, strong" method of the paper; its cost is what
-/// Figs. 3/4 measure.
+/// cyclic string): each round deals rotations into bucket heads by the
+/// rank of the rotation k characters on, O(n log n) in all. It is still
+/// the paper's "slow, strong" method and most of what Figs. 3/4 measure
+/// for BW, though on this stack it reduces faster than LZ (EXPERIMENTS.md,
+/// Fig. 4). Equal rotations of a periodic block keep the order the
+/// original radix-pass sort gave them, so `primary` is the row the frame
+/// format has always recorded; tests/test_bwt.cpp pins it against that
+/// sort.
 Transformed forward(ByteView block);
 
 /// Inverse BWT via LF-mapping (counting sort + backwards walk), O(n).

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "adaptive/calibrator.hpp"
 #include "adaptive/decision.hpp"
 #include "adaptive/echo_integration.hpp"
@@ -245,16 +247,56 @@ TEST(Calibrator, DerivesSaneConstantsFromCommercialData) {
   EXPECT_NO_THROW(report.params.validate());
 }
 
+// A report of what derive() reads: LZ's and BW's ratios and throughputs,
+// reducing speed = throughput * (1 - ratio), and a Huffman ratio inside
+// the ratio-cut band.
+CalibrationReport measured(double lz_ratio_percent, double bw_ratio_percent,
+                           double lz_throughput, double bw_throughput) {
+  CalibrationReport report;
+  report.lz_ratio_percent = lz_ratio_percent;
+  report.bw_ratio_percent = bw_ratio_percent;
+  report.huffman_ratio_percent = 48.0;
+  report.lz_throughput = lz_throughput;
+  report.bw_throughput = bw_throughput;
+  report.lz_reducing_speed = lz_throughput * (1 - lz_ratio_percent / 100);
+  report.bw_reducing_speed = bw_throughput * (1 - bw_ratio_percent / 100);
+  return report;
+}
+
 TEST(Calibrator, PaperConstantsAreWithinDerivedBallpark) {
   // The paper's alpha = 0.83 is our overlap-credit default by construction;
-  // its beta = 3.48 should be the right order of magnitude on repetitive
-  // commercial data.
-  workloads::TransactionGenerator gen(2);
-  const CalibrationReport report =
-      Calibrator().calibrate(gen.text_block(512 * 1024));
-  EXPECT_DOUBLE_EQ(report.params.alpha, 0.83);
-  EXPECT_GT(report.params.beta, 1.0);
-  EXPECT_LT(report.params.beta, 50.1);
+  // its beta = 3.48 should be the right order of magnitude for the paper's
+  // own measurements: Fig. 2's ratios (LZ 35 %, BW 30 %) and Fig. 4's
+  // Sun-Fire reducing speeds (LZ 3.5 MB/s, BW 0.7 MB/s), from which the
+  // crossing formula gives 57, clamped to 50.
+  const double lz_thr = 3.5e6 / (1 - 0.35);
+  const double bw_thr = 0.7e6 / (1 - 0.30);
+  const DecisionParams params =
+      Calibrator().derive(measured(35.0, 30.0, lz_thr, bw_thr));
+  EXPECT_DOUBLE_EQ(params.alpha, 0.83);
+  EXPECT_GT(params.beta, 1.0);
+  EXPECT_LT(params.beta, 50.1);
+}
+
+TEST(Calibrator, BetaKeepsItsBaseOnceBurrowsWheelerIsAsFastAsLz) {
+  // Commercial ratios (LZ 24.1 %, BW 19.3 %). A Burrows-Wheeler slower
+  // than LZ pays below the crossing bandwidth, which at 0.97x LZ's speed
+  // lies under the floor. One at least as fast has no crossing, and beta
+  // keeps the base constant so LZ blocks, the sender's only measure of the
+  // LZ reduce time, still get sent.
+  const Calibrator calibrator;
+  const double lz_thr = 10e6;
+  std::vector<double> betas;
+  for (const double bw_speedup : {0.75, 0.97, 1.0, 1.2}) {
+    betas.push_back(
+        calibrator.derive(measured(24.1, 19.3, lz_thr, bw_speedup * lz_thr))
+            .beta);
+  }
+  // 0.75x: S_lz / bw_cross = 0.759 / (0.048 * 3).
+  EXPECT_NEAR(betas[0], 0.759 / 0.144, 1e-9);
+  EXPECT_DOUBLE_EQ(betas[1], 0.83 + 0.1);
+  EXPECT_DOUBLE_EQ(betas[2], DecisionParams{}.beta);
+  EXPECT_DOUBLE_EQ(betas[3], DecisionParams{}.beta);
 }
 
 TEST(Calibrator, RejectsTinySample) {

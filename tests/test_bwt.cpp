@@ -1,16 +1,125 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "compress/bwt.hpp"
 #include "compress/bwt_codec.hpp"
 #include "compress/lz77.hpp"
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
 #include "testdata.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/varint.hpp"
+#include "workloads/molecular.hpp"
+#include "workloads/transactions.hpp"
 
 namespace acex {
 namespace {
+
+// The rotation sort bwt::forward shipped with before the bucket-head
+// rewrite, kept verbatim as the reference: prefix doubling with one
+// counting sort per round. Every frame ever written carries its `primary`,
+// so the transform must reproduce this function's output exactly,
+// including where rotation 0 sits among equal rotations of a periodic
+// chunk.
+bwt::Transformed reference_forward(ByteView block) {
+  const std::size_t n = block.size();
+  bwt::Transformed result;
+  if (n == 0) return result;
+  if (n == 1) {
+    result.last_column.assign(block.begin(), block.end());
+    result.primary = 0;
+    return result;
+  }
+
+  // Prefix doubling over cyclic rotations with radix (counting) sorts:
+  // after round k, `rank[i]` orders rotations by their first 2^k
+  // characters. O(n log n) total — this is the codec's hot loop.
+  std::vector<std::uint32_t> idx(n), rank(n), next_rank(n), shifted(n);
+  std::vector<std::uint32_t> counts(std::max<std::size_t>(n, 256) + 1, 0);
+
+  // Round 0: counting sort by first character.
+  for (std::size_t i = 0; i < n; ++i) ++counts[block[i] + 1];
+  for (std::size_t c = 1; c <= 256; ++c) counts[c] += counts[c - 1];
+  for (std::size_t i = 0; i < n; ++i) {
+    idx[counts[block[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  rank[idx[0]] = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    rank[idx[i]] = rank[idx[i - 1]] + (block[idx[i]] != block[idx[i - 1]]);
+  }
+
+  for (std::size_t k = 1; rank[idx[n - 1]] != n - 1 && k < n; k <<= 1) {
+    // Sorting pairs (rank[i], rank[(i+k) mod n]). `idx` is sorted by rank;
+    // shifting every position back by k yields the order sorted by the
+    // SECOND pair element, so one stable counting sort by the first
+    // element finishes the job.
+    for (std::size_t j = 0; j < n; ++j) {
+      shifted[j] = (idx[j] + static_cast<std::uint32_t>(n) -
+                    static_cast<std::uint32_t>(k % n)) %
+                   static_cast<std::uint32_t>(n);
+    }
+    const std::size_t classes = rank[idx[n - 1]] + 1;
+    std::fill(counts.begin(), counts.begin() + classes + 1, 0u);
+    for (std::size_t i = 0; i < n; ++i) ++counts[rank[i] + 1];
+    for (std::size_t c = 1; c <= classes; ++c) counts[c] += counts[c - 1];
+    for (std::size_t j = 0; j < n; ++j) {
+      idx[counts[rank[shifted[j]]]++] = shifted[j];
+    }
+    // Re-rank by (first, second) pair equality.
+    const auto second = [&](std::uint32_t i) {
+      return rank[(i + k) % n];
+    };
+    next_rank[idx[0]] = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      const bool differs = rank[idx[i]] != rank[idx[i - 1]] ||
+                           second(idx[i]) != second(idx[i - 1]);
+      next_rank[idx[i]] = next_rank[idx[i - 1]] + differs;
+    }
+    rank.swap(next_rank);
+  }
+
+  result.last_column.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t start = idx[i];
+    result.last_column[i] = block[start == 0 ? n - 1 : start - 1];
+    if (start == 0) result.primary = static_cast<std::uint32_t>(i);
+  }
+  return result;
+}
+
+// Compares bwt::forward with the reference on one input; returns whether
+// (last_column, primary) agree and names the first disagreement.
+::testing::AssertionResult MatchesReference(ByteView block) {
+  const auto got = bwt::forward(block);
+  const auto want = reference_forward(block);
+  if (got.primary != want.primary) {
+    return ::testing::AssertionFailure()
+           << "n=" << block.size() << " primary " << got.primary
+           << " != reference " << want.primary;
+  }
+  if (got.last_column != want.last_column) {
+    return ::testing::AssertionFailure()
+           << "n=" << block.size() << " last column differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+Bytes commercial_stream(std::size_t size, std::uint64_t seed) {
+  workloads::TransactionGenerator gen(seed);
+  return gen.text_block(size);
+}
+
+Bytes molecular_stream(std::uint64_t seed) {
+  workloads::MolecularConfig config;
+  config.atom_count = 8192;
+  config.seed = seed;
+  workloads::MolecularGenerator gen(config);
+  return gen.stream(4);
+}
 
 // -------------------------------------------------------------- transform
 
@@ -68,6 +177,59 @@ TEST(BwtTransform, PeriodicInputsRoundTrip) {
 TEST(BwtTransform, InverseRejectsBadPrimary) {
   const Bytes col = to_bytes("nnbaaa");
   EXPECT_THROW(bwt::inverse(col, 6), DecodeError);
+}
+
+// ------------------------------------------- differential vs the reference
+
+TEST(BwtDifferential, RandomInputsMatchReference) {
+  Rng rng(2005);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = 2 + rng.below(2999);
+    const std::uint64_t alphabet = 2 + rng.below(15);
+    Bytes block(n);
+    for (auto& c : block) c = static_cast<std::uint8_t>(rng.below(alphabet));
+    ASSERT_TRUE(MatchesReference(block)) << "trial " << trial;
+  }
+}
+
+TEST(BwtDifferential, PeriodicInputsKeepReferenceTieOrder) {
+  // A chunk of period p holds n / p copies of every rotation; only the
+  // row of rotation 0 among its copies (`primary`) depends on the sort's
+  // tie order, and that row is on the wire.
+  Rng rng(2006);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t period = 1 + rng.below(40);
+    const std::size_t repeats = 2 + rng.below(59);
+    const std::uint64_t alphabet = 2 + rng.below(15);
+    Bytes unit(period);
+    for (auto& c : unit) c = static_cast<std::uint8_t>(rng.below(alphabet));
+    Bytes block;
+    for (std::size_t r = 0; r < repeats; ++r) {
+      block.insert(block.end(), unit.begin(), unit.end());
+    }
+    ASSERT_TRUE(MatchesReference(block))
+        << "period " << period << " repeats " << repeats;
+  }
+}
+
+TEST(BwtDifferential, UniformBlocksMatchReference) {
+  for (const std::size_t n : {2u, 3u, 4u, 5u, 64u, 1000u, 65536u, 131072u,
+                              131073u}) {
+    EXPECT_TRUE(MatchesReference(Bytes(n, 0x00)));
+    EXPECT_TRUE(MatchesReference(Bytes(n, 0xFF)));
+  }
+}
+
+TEST(BwtDifferential, CommercialAndMolecularChunksMatchReference) {
+  constexpr std::size_t kChunk = 128 * 1024;
+  for (const Bytes& stream :
+       {commercial_stream(1024 * 1024, 2004), molecular_stream(2004)}) {
+    for (std::size_t off = 0; off < stream.size(); off += kChunk) {
+      const std::size_t len = std::min(kChunk, stream.size() - off);
+      EXPECT_TRUE(MatchesReference(ByteView(stream).subspan(off, len)))
+          << "chunk at " << off;
+    }
+  }
 }
 
 // -------------------------------------------------------------------- mtf
@@ -225,6 +387,35 @@ TEST(BurrowsWheelerCodec, StoredModeBoundsExpansion) {
   const Bytes packed = codec.compress(data);
   EXPECT_LE(packed.size(), data.size() + 16);
   EXPECT_EQ(codec.decompress(packed), data);
+}
+
+TEST(BurrowsWheelerCodec, FramesMatchRecordedDigest) {
+  // CRC-32 over the compressed bytes of a fixed corpus, recorded with the
+  // reference rotation sort: any change to a chunk's last column, primary
+  // or entropy stage moves it. The corpus covers commercial blocks,
+  // periodic and all-zero blocks, and inputs whose last chunk is short.
+  std::vector<Bytes> corpus;
+  for (const std::uint64_t seed : {2004u, 2005u}) {
+    const Bytes text = commercial_stream(512 * 1024, seed);
+    for (std::size_t off = 0; off < text.size(); off += 128 * 1024) {
+      corpus.emplace_back(text.begin() + static_cast<std::ptrdiff_t>(off),
+                          text.begin() +
+                              static_cast<std::ptrdiff_t>(off + 128 * 1024));
+    }
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    corpus.push_back(testdata::periodic(128 * 1024, seed));
+    corpus.push_back(testdata::periodic(1000 + 37 * seed, seed));
+  }
+  corpus.emplace_back(128 * 1024, 0x00);
+  corpus.emplace_back(4096, 0x00);
+  corpus.push_back(commercial_stream(131073, 7));
+  corpus.push_back(commercial_stream(300000, 8));
+
+  BurrowsWheelerCodec codec;
+  Crc32 digest;
+  for (const Bytes& input : corpus) digest.update(codec.compress(input));
+  EXPECT_EQ(digest.value(), 0xCD7CE2A7u);
 }
 
 TEST(BurrowsWheelerCodec, RejectsBadChunkSize) {
