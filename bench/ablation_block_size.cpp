@@ -10,7 +10,7 @@
 int main() {
   using namespace acex;
   const Bytes data = bench::commercial_data(16 * 1024 * 1024);
-  const double cpu_scale = adaptive::cpu_scale_for_lz_speed(
+  const adaptive::CpuMeter cpu_meter = adaptive::CpuMeter::wall_for_lz_speed(
       data, adaptive::kPaperLzReducingBps);
 
   bench::header("Ablation: streaming block size (loaded 100 Mb link)");
@@ -28,7 +28,7 @@ int main() {
     config.background = netsim::LoadTrace({{0, 50}});
     config.adaptive.async_sampling = false;
     config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
-    config.adaptive.cpu_scale = cpu_scale;
+    config.adaptive.cpu_meter = cpu_meter;
     config.adaptive.decision.block_size = kib * 1024;
     config.adaptive.decision.sample_size =
         std::min<std::size_t>(4096, kib * 1024);

@@ -8,7 +8,7 @@
 int main() {
   using namespace acex;
   const Bytes data = bench::commercial_data(8 * 1024 * 1024);
-  const double cpu_scale = adaptive::cpu_scale_for_lz_speed(
+  const adaptive::CpuMeter cpu_meter = adaptive::CpuMeter::wall_for_lz_speed(
       data, adaptive::kPaperLzReducingBps);
 
   bench::header("Ablation: policy x link (commercial data, unloaded links)");
@@ -24,7 +24,7 @@ int main() {
     config.link = netsim::figure5_links()[l];
     config.adaptive.async_sampling = false;
     config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
-    config.adaptive.cpu_scale = cpu_scale;
+    config.adaptive.cpu_meter = cpu_meter;
     config.seed = 7 + l;
 
     const auto results = adaptive::run_policy_comparison(data, config);

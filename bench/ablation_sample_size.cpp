@@ -7,6 +7,7 @@
 
 #include "adaptive/sampler.hpp"
 #include "bench_common.hpp"
+#include "compress/lz77.hpp"
 
 int main() {
   using namespace acex;

@@ -15,7 +15,8 @@ namespace {
 
 using namespace acex;
 
-double run_regime(const Bytes& data, double cpu_scale, double connections,
+double run_regime(const Bytes& data, const adaptive::CpuMeter& cpu_meter,
+                  double connections,
                   adaptive::DecisionParams params) {
   adaptive::ExperimentConfig config;
   config.link = netsim::fast_ethernet_link();
@@ -24,13 +25,14 @@ double run_regime(const Bytes& data, double cpu_scale, double connections,
   config.background = netsim::LoadTrace({{0, connections}});
   config.adaptive.async_sampling = false;
   config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
-  config.adaptive.cpu_scale = cpu_scale;
+  config.adaptive.cpu_meter = cpu_meter;
   config.adaptive.decision = params;
   return run_adaptive(data, config).stream.total_seconds;
 }
 
 void sweep(const char* title, const char* column, const Bytes& data,
-           double cpu_scale, const std::vector<double>& values,
+           const adaptive::CpuMeter& cpu_meter,
+           const std::vector<double>& values,
            adaptive::DecisionParams (*make)(double)) {
   bench::header(title);
   std::printf("%10s  %10s  %10s  %12s\n", column, "light(s)", "heavy(s)",
@@ -39,9 +41,9 @@ void sweep(const char* title, const char* column, const Bytes& data,
   for (const double v : values) {
     const auto params = make(v);
     std::printf("%10.2f  %10.3f  %10.3f  %12.3f\n", v,
-                run_regime(data, cpu_scale, 7, params),
-                run_regime(data, cpu_scale, 50, params),
-                run_regime(data, cpu_scale, 68, params));
+                run_regime(data, cpu_meter, 7, params),
+                run_regime(data, cpu_meter, 50, params),
+                run_regime(data, cpu_meter, 68, params));
   }
 }
 
@@ -49,11 +51,11 @@ void sweep(const char* title, const char* column, const Bytes& data,
 
 int main() {
   const Bytes data = bench::commercial_data(8 * 1024 * 1024);
-  const double cpu_scale = adaptive::cpu_scale_for_lz_speed(
+  const adaptive::CpuMeter cpu_meter = adaptive::CpuMeter::wall_for_lz_speed(
       data, adaptive::kPaperLzReducingBps);
 
   sweep("Ablation: alpha (compress-at-all gate; paper 0.83)", "alpha", data,
-        cpu_scale, {0.2, 0.5, 0.83, 1.5, 3.0, 6.0}, [](double v) {
+        cpu_meter, {0.2, 0.5, 0.83, 1.5, 3.0, 6.0}, [](double v) {
           adaptive::DecisionParams p;
           p.alpha = v;
           p.beta = std::max(p.beta, v + 0.1);
@@ -61,13 +63,13 @@ int main() {
         });
 
   sweep("Ablation: beta (LZ -> BW escalation; paper 3.48)", "beta", data,
-        cpu_scale, {1.0, 2.0, 3.48, 7.0, 20.0, 45.0}, [](double v) {
+        cpu_meter, {1.0, 2.0, 3.48, 7.0, 20.0, 45.0}, [](double v) {
           adaptive::DecisionParams p;
           p.beta = v;
           return p;
         });
 
-  sweep("Ablation: ratio cut percent (paper 48.78)", "cut", data, cpu_scale,
+  sweep("Ablation: ratio cut percent (paper 48.78)", "cut", data, cpu_meter,
         {10.0, 25.0, 48.78, 70.0, 95.0}, [](double v) {
           adaptive::DecisionParams p;
           p.ratio_cut_percent = v;

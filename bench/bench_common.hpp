@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,26 @@ inline void print_block_series(const adaptive::StreamReport& stream) {
                 std::string(method_name(b.method)).c_str(),
                 b.compress_seconds * 1e6, b.wire_size);
   }
+}
+
+/// Blocks per method actually sent, keyed by method name.
+inline std::map<std::string, std::size_t> method_counts(
+    const adaptive::StreamReport& stream) {
+  std::map<std::string, std::size_t> counts;
+  for (const auto& b : stream.blocks) {
+    counts[std::string(method_name(b.method))]++;
+  }
+  return counts;
+}
+
+/// Prints "\n<label>:  name=count  ..." over `counts`, then a newline.
+inline void print_method_usage(
+    const char* label, const std::map<std::string, std::size_t>& counts) {
+  std::printf("\n%s:", label);
+  for (const auto& [name, n] : counts) {
+    std::printf("  %s=%zu", name.c_str(), n);
+  }
+  std::printf("\n");
 }
 
 inline void print_stream_summary(const char* name,

@@ -8,7 +8,6 @@
 // which scaling preserves).
 
 #include "bench_common.hpp"
-#include "netsim/cpu_model.hpp"
 
 int main() {
   using namespace acex;
@@ -16,8 +15,9 @@ int main() {
 
   // Calibrate "this host -> Sun-Fire" from LZ's reducing speed (Fig. 4
   // measured ~3.5 MB/s there).
-  const double scale = adaptive::cpu_scale_for_lz_speed(
-      data, adaptive::kPaperLzReducingBps);
+  const double scale = adaptive::CpuMeter::wall_for_lz_speed(
+                            data, adaptive::kPaperLzReducingBps)
+                            .scale();
 
   bench::header("Figure 3: compression / decompression times (commercial)");
   std::printf("dataset: %zu bytes; Sun-Fire projection = host time / %.3f\n\n",

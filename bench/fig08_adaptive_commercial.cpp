@@ -31,36 +31,46 @@ int main() {
   config.pace = 1.0;
   config.adaptive.async_sampling = false;
   config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
-  config.adaptive.cpu_scale =
-      adaptive::cpu_scale_for_lz_speed(data, adaptive::kPaperLzReducingBps);
-
+  // The wall-clock run: measured CPU, scaled to the Sun-Fire profile.
+  config.adaptive.cpu_meter = adaptive::CpuMeter::wall_for_lz_speed(
+      data, adaptive::kPaperLzReducingBps);
   const auto result = run_adaptive(data, config);
 
   bench::header(
       "Figures 8-10: adaptive run, commercial data, loaded 100 Mb link");
-  std::printf("cpu profile: Sun-Fire emulation (cpu_scale=%.3f), pace 1 "
-              "block/s, %zu blocks\n\n",
-              config.adaptive.cpu_scale, result.stream.blocks.size());
+  std::printf("cpu profile: Sun-Fire emulation (wall-clock meter, "
+              "scale=%.3f), pace 1 block/s, %zu blocks\n\n",
+              config.adaptive.cpu_meter.scale(), result.stream.blocks.size());
   bench::print_block_series(result.stream);
 
   // Phase summary (which methods served which load phases).
-  std::map<std::string, std::size_t> counts;
-  for (const auto& b : result.stream.blocks) {
-    counts[std::string(method_name(b.method))]++;
-  }
-  std::printf("\nmethod usage:");
-  for (const auto& [name, n] : counts) {
-    std::printf("  %s=%zu", name.c_str(), n);
-  }
-  std::printf("\nround-trip verified: %s\n",
+  const auto phases = [](const std::map<std::string, std::size_t>& counts) {
+    return counts.count("none") && counts.count("lempel-ziv") &&
+                   counts.count("burrows-wheeler")
+               ? "all three phases reproduced"
+               : "PHASES MISSING";
+  };
+  const auto counts = bench::method_counts(result.stream);
+  bench::print_method_usage("method usage", counts);
+  std::printf("round-trip verified: %s\n",
               result.verified ? "yes" : "NO (BUG)");
   bench::print_stream_summary("adaptive", result.stream);
-
-  const bool has_all = counts.count("none") && counts.count("lempel-ziv") &&
-                       counts.count("burrows-wheeler");
   std::printf(
       "\nShape check (paper Fig. 8): '1' (no compression) under no load, "
       "'2' (LZ) as load\nrises, '3' (BW) at peak: %s\n",
-      has_all ? "all three phases reproduced" : "PHASES MISSING");
+      phases(counts));
+
+  // The same scenario on the Fig. 4 model meter: no clock is read, so the
+  // counts are the same in every run on every host.
+  config.adaptive.cpu_meter = adaptive::CpuMeter::paper_model();
+  const auto model = run_adaptive(data, config);
+  const auto model_counts = bench::method_counts(model.stream);
+  bench::print_method_usage("method usage (Fig. 4 model meter)",
+                            model_counts);
+  std::printf("round-trip verified: %s\n",
+              model.verified ? "yes" : "NO (BUG)");
+  bench::print_stream_summary("adaptive", model.stream);
+  std::printf("Shape check (paper Fig. 8, model meter): %s\n",
+              phases(model_counts));
   return 0;
 }

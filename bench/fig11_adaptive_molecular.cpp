@@ -22,11 +22,12 @@ int main() {
   config.pace = 1.0;
   config.adaptive.async_sampling = false;
   config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
+  // The wall-clock run: measured CPU, scaled to the Sun-Fire profile.
   // Calibrate against the commercial data (the paper's Fig. 4 calibration
   // corpus), not the MD data itself.
   const Bytes calib = bench::commercial_data(512 * 1024);
-  config.adaptive.cpu_scale =
-      adaptive::cpu_scale_for_lz_speed(calib, adaptive::kPaperLzReducingBps);
+  config.adaptive.cpu_meter = adaptive::CpuMeter::wall_for_lz_speed(
+      calib, adaptive::kPaperLzReducingBps);
 
   const auto result = run_adaptive(data, config);
 
@@ -36,25 +37,33 @@ int main() {
               data.size(), result.stream.blocks.size());
   bench::print_block_series(result.stream);
 
-  std::map<std::string, std::size_t> counts;
-  for (const auto& b : result.stream.blocks) {
-    counts[std::string(method_name(b.method))]++;
-  }
-  std::printf("\nmethod usage:");
-  for (const auto& [name, n] : counts) {
-    std::printf("  %s=%zu", name.c_str(), n);
-  }
-  std::printf("\nround-trip verified: %s\n",
+  const auto verdict = [](std::map<std::string, std::size_t> counts) {
+    const std::size_t huffman = counts["huffman"];
+    const std::size_t strong =
+        counts["lempel-ziv"] + counts["burrows-wheeler"];
+    std::printf(
+        "\nShape check (paper Fig. 11): Huffman dominates the compressed "
+        "blocks (%zu huffman\nvs %zu LZ/BW): %s; compressed sizes stay near "
+        "the 128 KiB block size (Fig. 12).\n",
+        huffman, strong, huffman > strong ? "reproduced" : "DIFFERS");
+  };
+  const auto counts = bench::method_counts(result.stream);
+  bench::print_method_usage("method usage", counts);
+  std::printf("round-trip verified: %s\n",
               result.verified ? "yes" : "NO (BUG)");
   bench::print_stream_summary("adaptive", result.stream);
+  verdict(counts);
 
-  const std::size_t huffman = counts["huffman"];
-  const std::size_t strong = counts["lempel-ziv"] + counts["burrows-wheeler"];
-  std::printf(
-      "\nShape check (paper Fig. 11): Huffman dominates the compressed "
-      "blocks (%zu huffman\nvs %zu LZ/BW): %s; compressed sizes stay near "
-      "the 128 KiB block size (Fig. 12).\n",
-      huffman, strong,
-      huffman > strong ? "reproduced" : "DIFFERS");
+  // The same scenario on the Fig. 4 model meter: no clock is read, so the
+  // counts are the same in every run on every host.
+  config.adaptive.cpu_meter = adaptive::CpuMeter::paper_model();
+  const auto model = run_adaptive(data, config);
+  const auto model_counts = bench::method_counts(model.stream);
+  bench::print_method_usage("method usage (Fig. 4 model meter)",
+                            model_counts);
+  std::printf("round-trip verified: %s\n",
+              model.verified ? "yes" : "NO (BUG)");
+  bench::print_stream_summary("adaptive", model.stream);
+  verdict(model_counts);
   return 0;
 }

@@ -13,7 +13,12 @@
 // saturated link that STAYS saturated — the tail of the MBone session) and
 // report adaptive vs the fixed policies, with both the paper's decision
 // constants and constants re-derived by the Calibrator on this host.
+//
+// CPU is charged on this host's wall clock, scaled so LZ reduces at
+// Fig. 4's 3.5 MB/s; `headline_totals --model` charges Fig. 4's model
+// instead, which makes every decision independent of the host.
 
+#include <string_view>
 #include <thread>
 
 #include "adaptive/calibrator.hpp"
@@ -23,7 +28,8 @@
 
 namespace {
 
-acex::adaptive::ExperimentConfig scenario(double cpu_scale) {
+acex::adaptive::ExperimentConfig scenario(
+    const acex::adaptive::CpuMeter& cpu_meter) {
   using namespace acex;
   adaptive::ExperimentConfig config;
   config.link = netsim::fast_ethernet_link();
@@ -35,7 +41,7 @@ acex::adaptive::ExperimentConfig scenario(double cpu_scale) {
       {{0, 0}, {2, 25}, {4, 50}, {6, 68}});
   config.adaptive.async_sampling = false;
   config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
-  config.adaptive.cpu_scale = cpu_scale;
+  config.adaptive.cpu_meter = cpu_meter;
   return config;
 }
 
@@ -57,7 +63,11 @@ void run_dataset(const char* title, const char* slug, const acex::Bytes& data,
                          r.stream.total_seconds);
     bench::record_result(series + ".wire_pct", "policy", r.policy,
                          r.stream.wire_ratio_percent());
-    if (r.policy == "adaptive") adaptive_total = r.stream.total_seconds;
+    if (r.policy == "adaptive") {
+      adaptive_total = r.stream.total_seconds;
+      bench::print_method_usage("  adaptive method usage",
+                                bench::method_counts(r.stream));
+    }
     if (r.policy == "none") raw_total = r.stream.total_seconds;
   }
   bench::record_result(series + ".speedup_vs_raw", "policy", "adaptive",
@@ -101,29 +111,38 @@ void run_parallel_throughput(const char* title, const acex::Bytes& data) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace acex;
+  const bool model = argc > 1 && std::string_view(argv[1]) == "--model";
 
   const Bytes commercial = bench::commercial_data(48 * 1024 * 1024);
   const Bytes molecular = bench::molecular_data(16384, 84);  // ~44 MB
 
-  // One Sun-Fire calibration shared by every run so totals are comparable.
-  const double cpu_scale = adaptive::cpu_scale_for_lz_speed(
-      commercial, adaptive::kPaperLzReducingBps);
-  std::printf("Sun-Fire CPU emulation: cpu_scale=%.3f\n", cpu_scale);
+  // One Sun-Fire CPU meter shared by every run so totals are comparable.
+  const adaptive::CpuMeter cpu_meter =
+      model ? adaptive::CpuMeter::paper_model()
+            : adaptive::CpuMeter::wall_for_lz_speed(
+                  commercial, adaptive::kPaperLzReducingBps);
+  if (model) {
+    std::printf("Sun-Fire CPU emulation: Fig. 4 model meter\n");
+  } else {
+    std::printf("Sun-Fire CPU emulation: wall-clock meter, scale=%.3f\n",
+                cpu_meter.scale());
+  }
 
   // --- paper constants ---------------------------------------------------
   run_dataset("Headline (commercial, paper constants)", "commercial",
-              commercial, scenario(cpu_scale));
+              commercial, scenario(cpu_meter));
   run_dataset("Headline (molecular, paper constants)", "molecular", molecular,
-              scenario(cpu_scale));
+              scenario(cpu_meter));
 
   // --- host-calibrated constants (§2.5: "can be tuned easily by sampling
   // even a small piece of data") --------------------------------------
   {
-    auto config = scenario(cpu_scale);
+    auto config = scenario(cpu_meter);
     const adaptive::CalibrationReport calib = adaptive::Calibrator().calibrate(
-        ByteView(commercial).subspan(0, 1024 * 1024), config.adaptive.decision);
+        ByteView(commercial).subspan(0, 1024 * 1024), config.adaptive.decision,
+        cpu_meter);
     config.adaptive.decision = calib.params;
     std::printf(
         "\ncalibrated constants: alpha=%.2f beta=%.2f ratio_cut=%.1f%%\n",

@@ -151,7 +151,8 @@ std::vector<ScenarioSpec> build_scenarios(std::size_t blocks) {
 }
 
 CellResult run_cell(const ScenarioSpec& spec, adaptive::DecisionPolicy policy,
-                    const netsim::LoadTrace& mbone, double cpu_scale) {
+                    const netsim::LoadTrace& mbone,
+                    const adaptive::CpuMeter& cpu_meter) {
   adaptive::ExperimentConfig config;
   config.link = spec.link;
   if (spec.loaded) config.background = mbone;
@@ -159,7 +160,7 @@ CellResult run_cell(const ScenarioSpec& spec, adaptive::DecisionPolicy policy,
   config.context_takeover = spec.context_takeover;
   config.adaptive.async_sampling = false;
   config.adaptive.initial_bandwidth_Bps = spec.link.bandwidth_Bps;
-  config.adaptive.cpu_scale = cpu_scale;
+  config.adaptive.cpu_meter = cpu_meter;
   config.adaptive.decision.policy = policy;
   if (policy == adaptive::DecisionPolicy::kTargetRate) {
     config.adaptive.target_rate_Bps = spec.target_rate_Bps;
@@ -235,17 +236,17 @@ int main(int argc, char** argv) {
   // One calibration for the whole grid (the Sun-Fire profile every figure
   // bench uses), measured on the commercial corpus.
   const Bytes calib = bench::commercial_data(512 * 1024);
-  const double cpu_scale =
-      adaptive::cpu_scale_for_lz_speed(calib, adaptive::kPaperLzReducingBps);
+  const adaptive::CpuMeter cpu_meter = adaptive::CpuMeter::wall_for_lz_speed(
+      calib, adaptive::kPaperLzReducingBps);
   const netsim::LoadTrace mbone = netsim::mbone_trace().scaled(4.0);
 
   const std::vector<ScenarioSpec> scenarios = build_scenarios(blocks);
 
   bench::header("Scenario x policy decision grid");
-  std::printf("cpu_scale=%.3f, %zu scenarios x %zu policies, ~%zu blocks "
-              "per scenario\n\n",
-              cpu_scale, scenarios.size(), adaptive::all_policies().size(),
-              blocks);
+  std::printf("wall-clock meter scale=%.3f, %zu scenarios x %zu policies, "
+              "~%zu blocks per scenario\n\n",
+              cpu_meter.scale(), scenarios.size(),
+              adaptive::all_policies().size(), blocks);
   std::printf("%-26s %-15s %9s %8s %10s  %s\n", "scenario", "policy",
               "blk/s", "wire%", "cpu_us/blk", "methods");
   bench::rule();
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
   bool all_verified = true;
   for (const ScenarioSpec& spec : scenarios) {
     for (const adaptive::DecisionPolicy policy : adaptive::all_policies()) {
-      CellResult cell = run_cell(spec, policy, mbone, cpu_scale);
+      CellResult cell = run_cell(spec, policy, mbone, cpu_meter);
       all_verified = all_verified && cell.verified;
       std::string hist;
       for (const auto& [name, n] : cell.methods) {

@@ -31,7 +31,7 @@ int main() {
   config.pace = 1.0;
   config.adaptive.async_sampling = false;
   config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
-  config.adaptive.cpu_scale = adaptive::cpu_scale_for_lz_speed(
+  config.adaptive.cpu_meter = adaptive::CpuMeter::wall_for_lz_speed(
       feed, adaptive::kPaperLzReducingBps);
 
   std::printf("streaming the OIS feed (one 128 KiB block per second)...\n\n");

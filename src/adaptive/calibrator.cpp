@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "compress/metrics.hpp"
 #include "compress/registry.hpp"
 #include "util/error.hpp"
 
@@ -16,29 +15,35 @@ Calibrator::Calibrator(double overlap_credit)
 }
 
 CalibrationReport Calibrator::calibrate(ByteView sample,
-                                        const DecisionParams& base) const {
+                                        const DecisionParams& base,
+                                        const CpuMeter& meter) const {
   if (sample.size() < 4 * 1024) {
     throw ConfigError("calibrator: sample must be at least 4 KiB");
   }
   base.validate();
 
-  MonotonicClock clock;
   const auto measure = [&](MethodId id) {
     const CodecPtr codec = make_codec(id);
-    return measure_codec(*codec, sample, clock, /*include_decompress=*/false);
+    const CpuMeter::Timer timer;
+    const Bytes packed = codec->compress(sample);
+    return CpuWork{id, sample.size(), packed.size(), timer.elapsed()};
   };
-  const auto lz = measure(MethodId::kLempelZiv);
-  const auto bw = measure(MethodId::kBurrowsWheeler);
-  const auto hu = measure(MethodId::kHuffman);
+  const auto ratio_percent = [](const CpuWork& work) {
+    return 100.0 * static_cast<double>(work.encoded_bytes) /
+           static_cast<double>(work.original_bytes);
+  };
+  const CpuWork lz = measure(MethodId::kLempelZiv);
+  const CpuWork bw = measure(MethodId::kBurrowsWheeler);
+  const CpuWork hu = measure(MethodId::kHuffman);
 
   CalibrationReport report;
-  report.lz_ratio_percent = lz.ratio_percent();
-  report.bw_ratio_percent = bw.ratio_percent();
-  report.huffman_ratio_percent = hu.ratio_percent();
-  report.lz_reducing_speed = lz.reducing_speed();
-  report.bw_reducing_speed = bw.reducing_speed();
-  report.lz_throughput = lz.compress_throughput();
-  report.bw_throughput = bw.compress_throughput();
+  report.lz_ratio_percent = ratio_percent(lz);
+  report.bw_ratio_percent = ratio_percent(bw);
+  report.huffman_ratio_percent = ratio_percent(hu);
+  report.lz_reducing_speed = meter.reducing_speed(lz);
+  report.bw_reducing_speed = meter.reducing_speed(bw);
+  report.lz_throughput = meter.throughput(lz);
+  report.bw_throughput = meter.throughput(bw);
   report.params = derive(report, base);
   report.params.validate();
   return report;

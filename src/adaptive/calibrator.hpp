@@ -1,5 +1,6 @@
 #pragma once
 
+#include "adaptive/cpu_meter.hpp"
 #include "adaptive/decision.hpp"
 #include "util/bytes.hpp"
 
@@ -45,12 +46,13 @@ class Calibrator {
   /// `overlap_credit` multiplies the ideal alpha of 1.0.
   explicit Calibrator(double overlap_credit = 0.83);
 
-  /// Measure the three relevant codecs on `sample` and derive constants
-  /// from the measurements with derive(). `base` supplies block/sample
-  /// sizes and fallbacks. Throws ConfigError if the sample is too small to
-  /// measure (< 4 KiB).
+  /// Measure the three relevant codecs on `sample`, charge each run on
+  /// `meter`, and derive constants from the result with derive(). `base`
+  /// supplies block/sample sizes and fallbacks. Throws ConfigError if the
+  /// sample is too small to measure (< 4 KiB).
   CalibrationReport calibrate(ByteView sample,
-                              const DecisionParams& base = {}) const;
+                              const DecisionParams& base = {},
+                              const CpuMeter& meter = {}) const;
 
   /// The constants implied by `measured`'s ratios, throughputs and
   /// reducing speeds (its `params` is ignored). Pure: no clock is read, so

@@ -149,11 +149,8 @@ MethodId ConsumerController::observe(const echo::Event& event) {
     const SampleResult s = sampler_.sample(event.payload);
     ratio_percent = s.ratio_percent;
     if (s.sample_bytes > 0) {
-      monitor_.record(MethodId::kLempelZiv, s.sample_bytes,
-                      static_cast<std::size_t>(
-                          s.ratio_percent / 100.0 *
-                          static_cast<double>(s.sample_bytes)),
-                      s.elapsed);
+      monitor_.record(MethodId::kLempelZiv, s.sample_bytes, s.packed_bytes,
+                      CpuMeter().charge(s.work()));
     }
   } else if (original > 0) {
     ratio_percent = 100.0 * static_cast<double>(wire_bytes) /

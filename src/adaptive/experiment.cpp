@@ -31,15 +31,12 @@ AdaptiveConfig wire_cpu_clock(AdaptiveConfig adaptive, VirtualClock& clock) {
 }
 
 ExperimentResult finish(std::string policy, StreamReport stream,
-                        ByteView data, transport::SimHalf& receiver_end,
-                        double cpu_scale) {
+                        ByteView data, transport::SimHalf& receiver_end) {
   ExperimentResult result;
   result.policy = std::move(policy);
   result.stream = std::move(stream);
   AdaptiveReceiver receiver(receiver_end);
   const Bytes restored = receiver.receive_available();
-  result.receiver_decompress_seconds =
-      receiver.decompress_seconds() / cpu_scale;
   result.verified = restored.size() == data.size() &&
                     std::equal(restored.begin(), restored.end(), data.begin());
   return result;
@@ -87,8 +84,7 @@ StreamReport drive_stream(ByteView data, const ExperimentConfig& config,
 ExperimentResult run_adaptive(ByteView data, const ExperimentConfig& config) {
   Scenario scenario(config);
   StreamReport stream = drive_stream(data, config, scenario, std::nullopt);
-  return finish("adaptive", std::move(stream), data, scenario.duplex.b(),
-                config.adaptive.cpu_scale);
+  return finish("adaptive", std::move(stream), data, scenario.duplex.b());
 }
 
 ExperimentResult run_fixed(ByteView data, const ExperimentConfig& config,
@@ -96,45 +92,7 @@ ExperimentResult run_fixed(ByteView data, const ExperimentConfig& config,
   Scenario scenario(config);
   StreamReport stream = drive_stream(data, config, scenario, method);
   return finish(std::string(method_name(method)), std::move(stream), data,
-                scenario.duplex.b(), config.adaptive.cpu_scale);
-}
-
-double cpu_scale_for_lz_speed(ByteView sample, double target_reducing_Bps) {
-  // Measure at the granularity the sender charges: full 128 KiB block
-  // compressions (4 KiB probes run severalfold faster per byte and would
-  // skew the scale). Fastest-of-three over a few offsets.
-  constexpr std::size_t kBlock = 128 * 1024;
-  const std::size_t usable = sample.size() >= kBlock ? sample.size() : 0;
-  if (usable == 0) {
-    // Tiny calibration corpus: fall back to whatever fits.
-    Sampler probe(std::max<std::size_t>(sample.size(), 1));
-    const SampleResult s = probe.sample(sample);
-    return s.reducing_speed > 0 ? target_reducing_Bps / s.reducing_speed
-                                : 1.0;
-  }
-  MonotonicClock clock;
-  LempelZivCodec lz;
-  double speed_sum = 0;
-  int speeds = 0;
-  const std::size_t step =
-      std::max<std::size_t>((usable - kBlock) / 3 + 1, 1);
-  for (std::size_t off = 0; off + kBlock <= usable && speeds < 4;
-       off += step) {
-    const ByteView block = sample.subspan(off, kBlock);
-    Seconds best = 1e9;
-    std::size_t packed_size = kBlock;
-    for (int run = 0; run < 3; ++run) {
-      const Stopwatch sw(clock);
-      packed_size = lz.compress(block).size();
-      best = std::min(best, sw.elapsed());
-    }
-    if (packed_size < kBlock && best > 0) {
-      speed_sum += static_cast<double>(kBlock - packed_size) / best;
-      ++speeds;
-    }
-  }
-  if (speeds == 0) return 1.0;  // incompressible: scaling is moot
-  return target_reducing_Bps / (speed_sum / speeds);
+                scenario.duplex.b());
 }
 
 std::vector<ExperimentResult> run_policy_comparison(

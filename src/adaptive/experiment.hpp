@@ -44,16 +44,6 @@ struct ExperimentResult {
   std::string policy;  ///< "adaptive", "none", "lempel-ziv", ...
   StreamReport stream;
   bool verified = false;  ///< receiver reassembled exactly the input
-
-  /// Receiver CPU time spent decompressing, on the emulated-host scale
-  /// (measured wall time / cpu_scale). Not part of stream.total_seconds —
-  /// on real deployments decompression overlaps reception — but the
-  /// "Global Time" column of Fig. 1 is total + this.
-  Seconds receiver_decompress_seconds = 0;
-
-  Seconds global_seconds() const noexcept {
-    return stream.total_seconds + receiver_decompress_seconds;
-  }
 };
 
 /// Run the adaptive policy on `data` under `config`; the returned stream's
@@ -69,16 +59,5 @@ ExperimentResult run_fixed(ByteView data, const ExperimentConfig& config,
 /// the comparison the paper's §5 headline numbers summarize.
 std::vector<ExperimentResult> run_policy_comparison(
     ByteView data, const ExperimentConfig& config);
-
-/// The cpu_scale that makes THIS machine's Lempel-Ziv reducing speed on
-/// `sample` equal `target_reducing_Bps` — how experiments emulate the
-/// paper's 2003-era hosts (Fig. 4 measured LZ at ~3.5 MB/s on the
-/// Sun-Fire-280R; a modern CPU is an order of magnitude faster, which
-/// would silently shift every regime boundary). Measures LZ over the
-/// sample (up to 512 KiB of it) in real time.
-double cpu_scale_for_lz_speed(ByteView sample, double target_reducing_Bps);
-
-/// Fig. 4's Sun-Fire LZ reducing speed, the usual calibration target.
-inline constexpr double kPaperLzReducingBps = 3.5e6;
 
 }  // namespace acex::adaptive

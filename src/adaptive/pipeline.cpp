@@ -120,13 +120,11 @@ PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
                              bool allow_degrade, std::uint64_t trace_block) {
   PayloadEncode result;
   result.method = method;
-  // Compress under real (monotonic) time — that is the CPU capability the
-  // algorithm adapts to; the caller charges the scaled cost to whatever
-  // timeline its experiment runs on.
-  MonotonicClock cpu_clock;
+  // Measured on the wall clock — the CPU capability the algorithm adapts
+  // to; the sender's CpuMeter decides what to charge for it.
   const obs::ScopedSpan span(obs::BlockTracer::global(), trace_block,
                              obs::Stage::kEncode, obs::current_worker());
-  const Stopwatch cpu(cpu_clock);
+  const CpuMeter::Timer cpu;
   // The frame trailer's CRC pass is sender CPU too: charged with the codec.
   result.crc = crc32(block);
   bool degraded = false;
@@ -181,8 +179,7 @@ EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
   if (!result.failure) {
     // Framing (header + payload copy) is sender CPU too: charged with the
     // encode, though it falls outside the encode span and histogram.
-    MonotonicClock cpu_clock;
-    const Stopwatch frame_cpu(cpu_clock);
+    const CpuMeter::Timer frame_cpu;
     result.framed = BufferView::own(frame_build_seq(
         encoded.method, encoded.payload, encoded.crc, sequence));
     result.encode_seconds += frame_cpu.elapsed();
@@ -196,8 +193,8 @@ AdaptiveSender::AdaptiveSender(transport::Transport& transport,
       config_(std::move(config)),
       sampler_(config_.decision.sample_size) {
   config_.decision.validate();
-  if (config_.initial_bandwidth_Bps <= 0 || config_.cpu_scale <= 0) {
-    throw ConfigError("adaptive: bandwidth and cpu_scale must be positive");
+  if (config_.initial_bandwidth_Bps <= 0) {
+    throw ConfigError("adaptive: initial bandwidth must be positive");
   }
   if (config_.target_rate_Bps < 0) {
     throw ConfigError("adaptive: target_rate_Bps must be >= 0");
@@ -268,7 +265,9 @@ BlockReport AdaptiveSender::finish_block(const BlockPlan& plan,
   report.original_size = original_size;
   report.sampled_ratio_percent = plan.sampled_ratio_percent;
   report.bandwidth_estimate_Bps = plan.bandwidth_estimate_Bps;
-  report.compress_seconds = encoded.encode_seconds / config_.cpu_scale;
+  report.compress_seconds = config_.cpu_meter.charge(
+      {encoded.method, original_size, encoded.framed.size(),
+       encoded.encode_seconds});
   if (config_.on_cpu_time) config_.on_cpu_time(report.compress_seconds);
 
   if (plan.allow_degrade) {
@@ -480,12 +479,11 @@ double AdaptiveSender::lz_reducing_speed_estimate(
     return speed;
   }
   if (sample_speed_.has_value()) {
-    // No block-granularity measurement yet: extrapolate from the sampler,
-    // converted to the emulated-host scale. This overestimates (small
-    // compressions are cache-friendly), which matches the paper's
-    // aggressive "assume the reducing size speed of first block is
-    // infinity" starting rule.
-    return sample_speed_.value_or(0.0) * config_.cpu_scale;
+    // No block-granularity measurement yet: extrapolate from the sampler.
+    // On the wall meter this overestimates (small compressions are
+    // cache-friendly), which matches the paper's aggressive "assume the
+    // reducing size speed of first block is infinity" starting rule.
+    return sample_speed_.value_or(0.0);
   }
   return 0.0;  // "infinity" semantics in decide()
 }
@@ -526,12 +524,14 @@ BlockPlan AdaptiveSender::plan_from_sample(ByteView block,
   obs::ScopedSpan span(obs::BlockTracer::global(), blocks_sent_,
                        obs::Stage::kPlan);
 
-  // Track the sampler's raw reducing speed. It is NOT comparable to block
-  // speeds in absolute terms (4 KiB compressions run much faster per byte
-  // than 128 KiB ones), so it feeds the drift correction in
-  // lz_reducing_speed_estimate() rather than the block-speed monitor.
-  if (sample.sample_bytes > 0 && sample.reducing_speed > 0) {
-    sample_speed_.add(sample.reducing_speed);
+  // Track the sampler's reducing speed. On the wall meter it is NOT
+  // comparable to block speeds in absolute terms (4 KiB compressions run
+  // much faster per byte than 128 KiB ones), so it feeds the drift
+  // correction in lz_reducing_speed_estimate() rather than the block-speed
+  // monitor.
+  const double sample_speed = config_.cpu_meter.reducing_speed(sample.work());
+  if (sample.sample_bytes > 0 && sample_speed > 0) {
+    sample_speed_.add(sample_speed);
   }
 
   SelectionInputs inputs;
@@ -691,7 +691,6 @@ AdaptiveReceiver::AdaptiveReceiver(transport::Transport& transport,
 
 ReceiveReport AdaptiveReceiver::receive_report() {
   ReceiveReport report;
-  MonotonicClock cpu_clock;
   ReceiverMetrics& metrics = receiver_metrics();
   obs::BlockTracer& tracer = obs::BlockTracer::global();
   // receive_buffer(): the wire bytes may alias transport-owned storage (a
@@ -719,11 +718,10 @@ ReceiveReport AdaptiveReceiver::receive_report() {
         const obs::ScopedSpan span(
             tracer, frame.has_sequence ? frame.sequence : 0,
             obs::Stage::kDecode);
-        const Stopwatch sw(cpu_clock);
+        const CpuMeter::Timer decode_cpu;
         outcome.data = frame_decode(frame, registry_);
-        const double elapsed = sw.elapsed();
-        decompress_seconds_ += elapsed;
-        metrics.decode_us.for_method(frame.method).record(elapsed * 1e6);
+        metrics.decode_us.for_method(frame.method)
+            .record(decode_cpu.elapsed() * 1e6);
         if (frame.has_sequence) tracker_.deliver(frame.sequence);
         outcome.status = FrameOutcome::Status::kOk;
       }

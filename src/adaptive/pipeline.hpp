@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "adaptive/cpu_meter.hpp"
 #include "adaptive/decision.hpp"
 #include "adaptive/monitor.hpp"
 #include "adaptive/sampler.hpp"
@@ -35,9 +36,11 @@ struct AdaptiveConfig {
   /// infinity" assumption.
   double initial_bandwidth_Bps = 1e6;
 
-  /// Scales measured CPU times, emulating a slower/faster host than the
-  /// build machine (Fig. 4's second CPU; 1.0 = measure as-is).
-  double cpu_scale = 1.0;
+  /// What the selector and the timeline are charged for CPU work: wall
+  /// time as measured (the default), CpuMeter::wall(scale) to emulate a
+  /// slower or faster host, or CpuMeter::paper_model() for Fig. 4's
+  /// deterministic Sun-Fire speeds.
+  CpuMeter cpu_meter;
 
   /// The end user's "target rate of data transmission" (paper §1 — the one
   /// thing users are expected to express), in ORIGINAL payload bytes per
@@ -47,7 +50,7 @@ struct AdaptiveConfig {
   /// is met — or to the strongest available, best effort.
   double target_rate_Bps = 0;
 
-  /// Invoked with each block's (scaled) compression time. Virtual-time
+  /// Invoked with each block's charged compression time. Virtual-time
   /// experiments pass a lambda advancing the VirtualClock so CPU work and
   /// wire time share one timeline; wall-clock runs leave it empty.
   std::function<void(Seconds)> on_cpu_time;
@@ -132,7 +135,9 @@ struct EncodeResult {
   MethodId method = MethodId::kNone;  ///< method actually framed
   bool fallback = false;              ///< degraded to the null codec
   bool threw = false;                 ///< fallback cause: throw vs expansion
-  Seconds encode_seconds = 0;         ///< raw (unscaled) wall-clock CPU time
+  /// Measured wall time of codec, CRC and framing; finish_block() asks the
+  /// sender's CpuMeter what to charge for it.
+  Seconds encode_seconds = 0;
   std::exception_ptr failure;         ///< set iff !allow_degrade and it threw
 };
 
@@ -149,7 +154,7 @@ struct PayloadEncode {
   MethodId method = MethodId::kNone;  ///< method actually encoded
   bool fallback = false;              ///< degraded to the null codec
   bool threw = false;                 ///< fallback cause: throw vs expansion
-  Seconds encode_seconds = 0;         ///< raw (unscaled) wall-clock CPU time
+  Seconds encode_seconds = 0;         ///< measured wall time, codec + CRC
   std::exception_ptr failure;         ///< set iff !allow_degrade and it threw
   std::uint32_t crc = 0;              ///< CRC-32 of the block (frame trailer)
 };
@@ -208,7 +213,7 @@ struct BlockReport {
   bool fallback = false;       ///< degraded to the null codec mid-block
   std::size_t original_size = 0;
   std::size_t wire_size = 0;       ///< framed bytes actually sent
-  Seconds compress_seconds = 0;    ///< (scaled) CPU time spent compressing
+  Seconds compress_seconds = 0;    ///< CPU time charged by the cpu_meter
   Seconds send_seconds = 0;        ///< end-to-end accept time of the frame
   double sampled_ratio_percent = 100.0;  ///< sampler's view of this block
   double bandwidth_estimate_Bps = 0;     ///< estimate used for the decision
@@ -220,7 +225,7 @@ struct StreamReport {
   std::size_t original_bytes = 0;
   std::size_t wire_bytes = 0;
   Seconds total_seconds = 0;        ///< first submit -> last delivery
-  Seconds compress_seconds = 0;     ///< sum of (scaled) compression time
+  Seconds compress_seconds = 0;     ///< sum of charged compression time
 
   /// Append one finished block and fold it into the totals. Blocks must
   /// arrive in stream order: the span runs from the first block's submit
@@ -408,7 +413,7 @@ class AdaptiveSender {
   std::array<MethodEstimate, kDecisionLadder.size()> estimate_ladder(
       std::size_t block_size, double sampled_ratio_percent) const noexcept;
 
-  /// Current LZ reducing-speed estimate on the emulated-host scale.
+  /// Current LZ reducing-speed estimate, as the CpuMeter charges it.
   ///
   /// Block-granularity measurements (from real block compressions) are the
   /// ground truth; 4 KiB sampler timings run severalfold faster than block
@@ -424,7 +429,7 @@ class AdaptiveSender {
   ReducingSpeedMonitor monitor_;
   netsim::BandwidthEstimator bandwidth_;
   Sampler sampler_;
-  Ewma sample_speed_{0.4};     // real (unscaled) sampler reducing speeds
+  Ewma sample_speed_{0.4};     // sampler reducing speeds, as charged
   double sample_speed_ref_ = 0;  // sample speed when last LZ block ran
   std::size_t blocks_sent_ = 0;
 
@@ -556,11 +561,6 @@ class AdaptiveReceiver {
   std::uint64_t bytes_recovered() const noexcept { return bytes_recovered_; }
   const ReceiverConfig& config() const noexcept { return config_; }
 
-  /// Cumulative wall time spent decompressing received frames — the
-  /// receiver-side CPU cost §2.5 folds into its end-to-end view
-  /// ("decompression requires the use of receivers' CPU cycles").
-  Seconds decompress_seconds() const noexcept { return decompress_seconds_; }
-
   /// The receiver's codec registry. Mutable for the same reason as the
   /// sender's: application codecs (FloatQuantCodec, the colpipe columnar
   /// codec) are opt-in on BOTH ends, so receivers must be able to register
@@ -575,7 +575,6 @@ class AdaptiveReceiver {
   std::size_t frames_corrupt_ = 0;
   std::size_t frames_duplicate_ = 0;
   std::uint64_t bytes_recovered_ = 0;
-  Seconds decompress_seconds_ = 0;
   transport::SequenceTracker tracker_;  ///< v2 frame sequences
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "compress/lz77.hpp"
 #include "util/error.hpp"
 
 namespace acex::adaptive {
@@ -15,25 +16,19 @@ SampleResult run_sample(ByteView prefix) {
   // Sub-millisecond one-shot timings of a 4 KiB compression are dominated
   // by cache state and timer noise; take the fastest of three runs, the
   // standard microbenchmark estimator of attainable speed.
-  MonotonicClock clock;
   LempelZivCodec lz;
   Bytes packed;
   Seconds best = 1e9;
   for (int run = 0; run < 3; ++run) {
-    const Stopwatch sw(clock);
+    const CpuMeter::Timer timer;
     packed = lz.compress(prefix);
-    best = std::min(best, sw.elapsed());
+    best = std::min(best, timer.elapsed());
     if (best > 0.005) break;  // big samples: one timing is accurate enough
   }
   result.elapsed = std::max(best, 1e-9);  // avoid divide-by-zero
-
+  result.packed_bytes = packed.size();
   result.ratio_percent = 100.0 * static_cast<double>(packed.size()) /
                          static_cast<double>(prefix.size());
-  result.throughput = static_cast<double>(prefix.size()) / result.elapsed;
-  if (packed.size() < prefix.size()) {
-    result.reducing_speed =
-        static_cast<double>(prefix.size() - packed.size()) / result.elapsed;
-  }
   return result;
 }
 

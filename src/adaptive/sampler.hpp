@@ -3,19 +3,22 @@
 #include <future>
 #include <optional>
 
-#include "compress/lz77.hpp"
+#include "adaptive/cpu_meter.hpp"
 #include "util/bytes.hpp"
-#include "util/clock.hpp"
 
 namespace acex::adaptive {
 
-/// What one sampling pass learned about the upcoming block.
+/// What one sampling pass learned about the upcoming block. Its speed is
+/// whatever a CpuMeter charges for work(): each sender asks its own.
 struct SampleResult {
   double ratio_percent = 100.0;  ///< compressed/original of the sample
-  double reducing_speed = 0.0;   ///< bytes removed per second, 0 if none
-  double throughput = 0.0;       ///< sample bytes consumed per second
-  Seconds elapsed = 0.0;         ///< CPU time the sampling itself took
+  Seconds elapsed = 0.0;         ///< wall time of the fastest LZ run
   std::size_t sample_bytes = 0;
+  std::size_t packed_bytes = 0;  ///< LZ output size of the sample
+
+  CpuWork work() const noexcept {
+    return {MethodId::kLempelZiv, sample_bytes, packed_bytes, elapsed};
+  }
 };
 
 /// §2.5's sampling step: "Fork a sampling process to compress the first 4KB
@@ -24,9 +27,9 @@ struct SampleResult {
 ///
 /// We substitute a std::async task (or an inline call) for the fork(2) of
 /// the paper — identical estimate, same overlap with sending when async
-/// (DESIGN.md §2). Timing always uses a monotonic clock: sampling measures
-/// real CPU capability, which is exactly what the selector needs even when
-/// the surrounding experiment runs on virtual time.
+/// (DESIGN.md §2). The runs are timed with CpuMeter::Timer, on the wall
+/// clock even when the surrounding experiment runs on virtual time; the
+/// reader's CpuMeter decides what that time is worth.
 class Sampler {
  public:
   /// `prefix_size`: how much of the block to sample (the paper's 4 KiB).

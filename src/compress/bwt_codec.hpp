@@ -30,15 +30,7 @@ class BurrowsWheelerCodec final : public Codec {
  public:
   /// `chunk_size` trades compression (bigger is better) against transform
   /// time and recovery granularity. Must be in [64, 2^20].
-  ///
-  /// `parallelism` > 1 runs the per-chunk pipelines (BWT/MTF/RLE and their
-  /// inverses) on that many std::async tasks — possible precisely because
-  /// the paper's adaptation made chunks independent (§2.4, and its ref
-  /// [31] on parallel Huffman decoding). The wire format is identical; the
-  /// default stays serial so single-core timing measurements (Figs. 3/4)
-  /// mean what they say.
-  explicit BurrowsWheelerCodec(std::size_t chunk_size = 128 * 1024,
-                               unsigned parallelism = 1);
+  explicit BurrowsWheelerCodec(std::size_t chunk_size = 128 * 1024);
 
   MethodId id() const noexcept override { return MethodId::kBurrowsWheeler; }
   Bytes compress(ByteView input) override;
@@ -55,13 +47,11 @@ class BurrowsWheelerCodec final : public Codec {
                                       std::uint64_t bit_offset);
 
   std::size_t chunk_size() const noexcept { return chunk_size_; }
-  unsigned parallelism() const noexcept { return parallelism_; }
 
  private:
   Bytes stage_chunks(ByteView input) const;
 
   std::size_t chunk_size_;
-  unsigned parallelism_;
 };
 
 }  // namespace acex

@@ -52,11 +52,15 @@ void Daemon::Connection::send(ByteView message) {
   if (!fd.valid() || closing) {
     throw IoError("daemon connection closed");  // broker marks disconnect
   }
-  const Bytes framed = wrap(MsgKind::kData, message);
+  append(MsgKind::kData, message);
+}
+
+void Daemon::Connection::append(MsgKind kind, ByteView payload) {
   std::uint8_t header[kLengthPrefixBytes];
-  put_length_prefix(header, static_cast<std::uint32_t>(framed.size()));
+  put_length_prefix(header, static_cast<std::uint32_t>(1 + payload.size()));
   out_.insert(out_.end(), header, header + sizeof header);
-  out_.insert(out_.end(), framed.begin(), framed.end());
+  out_.push_back(static_cast<std::uint8_t>(kind));
+  out_.insert(out_.end(), payload.begin(), payload.end());
 }
 
 const Clock& Daemon::Connection::clock() const { return daemon->clock_; }
@@ -380,11 +384,7 @@ bool Daemon::handle_hello(Connection& conn, ByteView payload) {
 // --- outbound ---------------------------------------------------------
 
 void Daemon::enqueue(Connection& conn, MsgKind kind, ByteView payload) {
-  const Bytes framed = wrap(kind, payload);
-  std::uint8_t header[kLengthPrefixBytes];
-  put_length_prefix(header, static_cast<std::uint32_t>(framed.size()));
-  conn.out_.insert(conn.out_.end(), header, header + sizeof header);
-  conn.out_.insert(conn.out_.end(), framed.begin(), framed.end());
+  conn.append(kind, payload);
   flush(conn);
 }
 
@@ -451,12 +451,7 @@ void Daemon::reject_and_close(Connection& conn, HandshakeStatus status,
   Reject reject;
   reject.status = status;
   reject.reason = reason;
-  const Bytes framed = wrap(MsgKind::kReject, reject_encode(reject));
-  std::uint8_t header[kLengthPrefixBytes];
-  put_length_prefix(header, static_cast<std::uint32_t>(framed.size()));
-  conn.out_.insert(conn.out_.end(), header, header + sizeof header);
-  conn.out_.insert(conn.out_.end(), framed.begin(), framed.end());
-  flush(conn);
+  enqueue(conn, MsgKind::kReject, reject_encode(reject));
   if (conn.pending() == 0) {
     close_connection(conn.fd.get());
   } else {

@@ -138,6 +138,11 @@ class Daemon {
     std::optional<Bytes> receive() override { return std::nullopt; }
     const Clock& clock() const override;
 
+    /// The one writer of outbound messages: appends the length prefix,
+    /// the kind byte and `payload` to the outbuf (the wire form of
+    /// wrap(kind, payload)), without flushing.
+    void append(MsgKind kind, ByteView payload);
+
     /// Unflushed outbuf bytes.
     std::size_t pending() const noexcept { return out_.size() - out_pos_; }
 

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "adaptive/calibrator.hpp"
+#include "adaptive/cpu_meter.hpp"
 #include "adaptive/decision.hpp"
 #include "adaptive/echo_integration.hpp"
 #include "adaptive/monitor.hpp"
@@ -135,15 +136,15 @@ TEST(Sampler, MeasuresRatioOnCompressibleData) {
   const SampleResult s = sampler.sample(block);
   EXPECT_EQ(s.sample_bytes, 4096u);
   EXPECT_LT(s.ratio_percent, 48.0);
-  EXPECT_GT(s.reducing_speed, 0.0);
-  EXPECT_GT(s.throughput, 0.0);
+  EXPECT_GT(CpuMeter().reducing_speed(s.work()), 0.0);
+  EXPECT_GT(CpuMeter().throughput(s.work()), 0.0);
 }
 
 TEST(Sampler, RandomDataReportsNoReduction) {
   Sampler sampler(4096);
   const SampleResult s = sampler.sample(testdata::random_bytes(8192, 2));
   EXPECT_GE(s.ratio_percent, 99.0);
-  EXPECT_DOUBLE_EQ(s.reducing_speed, 0.0);
+  EXPECT_DOUBLE_EQ(CpuMeter().reducing_speed(s.work()), 0.0);
 }
 
 TEST(Sampler, ShortBlockSamplesWhatExists) {
@@ -178,6 +179,81 @@ TEST(Sampler, WaitWithoutLaunchIsEmpty) {
 }
 
 TEST(Sampler, RejectsZeroPrefix) { EXPECT_THROW(Sampler(0), ConfigError); }
+
+// --------------------------------------------------------------- cpu meter
+
+TEST(CpuMeter, DefaultChargesExactlyWhatItMeasured) {
+  const CpuMeter meter;
+  for (const Seconds measured : {0.0, 1e-9, 0.0123456789, 3.5}) {
+    for (const MethodId method : {MethodId::kNone, MethodId::kLempelZiv,
+                                  MethodId::kBurrowsWheeler}) {
+      EXPECT_EQ(meter.charge({method, 1000, 300, measured}), measured);
+      EXPECT_EQ(meter.charge({method, 1000, 1200, measured}), measured);
+    }
+  }
+}
+
+TEST(CpuMeter, WallScaleDividesTheMeasurement) {
+  const CpuMeter slow = CpuMeter::wall(0.25);  // a 4x slower host
+  EXPECT_DOUBLE_EQ(slow.charge({MethodId::kLempelZiv, 1000, 400, 0.5}), 2.0);
+  EXPECT_DOUBLE_EQ(slow.reducing_speed({MethodId::kLempelZiv, 1000, 400, 0.5}),
+                   300.0);
+  EXPECT_THROW(CpuMeter::wall(0), ConfigError);
+  EXPECT_THROW(CpuMeter::wall(-1), ConfigError);
+}
+
+TEST(CpuMeter, ModelChargesRemovedBytesAtFig4Speeds) {
+  const CpuMeter model = CpuMeter::paper_model();
+  // (in - out) / speed, whatever the wall clock measured.
+  const struct {
+    MethodId method;
+    double speed;
+  } rows[] = {{MethodId::kLempelZiv, 3.5e6},
+              {MethodId::kHuffman, 1.8e6},
+              {MethodId::kBurrowsWheeler, 0.7e6},
+              {MethodId::kArithmetic, 0.35e6}};
+  for (const auto& row : rows) {
+    for (const Seconds measured : {0.0, 0.001, 42.0}) {
+      EXPECT_DOUBLE_EQ(
+          model.charge({row.method, 1'000'000, 300'000, measured}),
+          700'000 / row.speed)
+          << method_name(row.method);
+    }
+    EXPECT_DOUBLE_EQ(model.reducing_speed({row.method, 4096, 1024, 1.0}),
+                     row.speed);
+  }
+  // The null codec costs nothing, and neither does a pass that removed
+  // nothing: Fig. 4 prices reducing work only.
+  EXPECT_EQ(model.charge({MethodId::kNone, 1000, 1000, 1.0}), 0.0);
+  EXPECT_EQ(model.charge({MethodId::kNone, 1000, 10, 1.0}), 0.0);
+  EXPECT_EQ(model.charge({MethodId::kHuffman, 1000, 1000, 1.0}), 0.0);
+  EXPECT_EQ(model.charge({MethodId::kHuffman, 1000, 1010, 1.0}), 0.0);
+  EXPECT_EQ(model.reducing_speed({MethodId::kHuffman, 1000, 1010, 1.0}), 0.0);
+}
+
+TEST(CpuMeter, ModelChargesUnlistedMethodsAtLzSpeed) {
+  // Fig. 4 lists four methods; LZW, zlib, colpipe and application codecs
+  // are charged at Lempel-Ziv's speed, the figure's anchor.
+  const CpuMeter model = CpuMeter::paper_model();
+  for (const MethodId method :
+       {MethodId::kLzw, MethodId::kZlib, MethodId::kColumnar,
+        static_cast<MethodId>(128)}) {
+    EXPECT_DOUBLE_EQ(model.charge({method, 10'000, 4'000, 0.0}),
+                     6'000 / kPaperLzReducingBps)
+        << static_cast<int>(method);
+  }
+}
+
+TEST(CpuMeter, WallForLzSpeedLeavesIncompressibleDataUnscaled) {
+  EXPECT_EQ(
+      CpuMeter::wall_for_lz_speed(testdata::random_bytes(256 * 1024, 9), 3.5e6)
+          .scale(),
+      1.0);
+  EXPECT_GT(CpuMeter::wall_for_lz_speed(testdata::repetitive_text(8192, 9),
+                                        3.5e6)
+                .scale(),
+            0.0);
+}
 
 // ----------------------------------------------------------------- monitor
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "netsim/bandwidth.hpp"
-#include "netsim/cpu_model.hpp"
 #include "netsim/link.hpp"
 #include "netsim/load_trace.hpp"
 #include "util/error.hpp"
@@ -223,26 +222,6 @@ TEST(BandwidthEstimator, PessimisticUnderOutliers) {
   for (int i = 0; i < 10; ++i) est.record(1000, 0.01);  // 100 KB/s
   est.record(1000, 0.0001);                             // 10 MB/s outlier
   EXPECT_LT(est.estimate_or(0), 2.5e6);
-}
-
-// --------------------------------------------------------------- cpu model
-
-TEST(CpuModel, ScalingPreservesSizesAndScalesTimes) {
-  CompressionMeasurement m;
-  m.original_size = 1000;
-  m.compressed_size = 400;
-  m.compress_time = 1.0;
-  m.decompress_time = 0.5;
-  const auto slow = ultra_sparc().apply(m);
-  EXPECT_EQ(slow.compressed_size, 400u);
-  EXPECT_NEAR(slow.compress_time, 1.0 / 0.45, 1e-9);
-  EXPECT_NEAR(slow.reducing_speed(), m.reducing_speed() * 0.45, 1e-6);
-}
-
-TEST(CpuModel, Figure4CpusOrdered) {
-  const auto cpus = figure4_cpus();
-  ASSERT_EQ(cpus.size(), 2u);
-  EXPECT_GT(cpus[0].speed_factor, cpus[1].speed_factor);
 }
 
 }  // namespace

@@ -129,7 +129,7 @@ TEST_F(PipelineTest, CpuScaleSlowsReportedCompression) {
 
   AdaptiveConfig fast = sync_config();
   AdaptiveConfig slow = sync_config();
-  slow.cpu_scale = 0.25;  // a 4x slower host
+  slow.cpu_meter = CpuMeter::wall(0.25);  // a 4x slower host
 
   wire(1e6);
   AdaptiveSender fast_sender(duplex_->a(), fast);
@@ -200,6 +200,7 @@ TEST(Experiment, AdaptiveBeatsNoCompressionOnSlowLink) {
   config.link = netsim::megabit_link();  // 0.147 MB/s end-to-end
   config.link.jitter_frac = 0.0;
   config.adaptive.async_sampling = false;
+  config.adaptive.cpu_meter = CpuMeter::paper_model();
 
   const auto adaptive = run_adaptive(data, config);
   const auto raw = run_fixed(data, config, MethodId::kNone);
@@ -211,8 +212,8 @@ TEST(Experiment, AdaptiveBeatsNoCompressionOnSlowLink) {
 
 TEST(Experiment, MethodsEscalateWithRisingLoad) {
   // Fig. 8's shape: no compression at first, stronger methods as the load
-  // ramps. Needs the paper's CPU-to-link ratio: emulate a Sun-Fire-class
-  // host (LZ reducing speed ~3.5 MB/s) against the 100 Mb link.
+  // ramps. Needs the paper's CPU-to-link ratio: Fig. 4's Sun-Fire model
+  // (LZ reducing speed 3.5 MB/s) against the 100 Mb link.
   workloads::TransactionGenerator gen(11);
   const Bytes data = gen.text_block(4 * 1024 * 1024);
 
@@ -226,7 +227,7 @@ TEST(Experiment, MethodsEscalateWithRisingLoad) {
   config.link.jitter_frac = 0.0;
   config.adaptive.async_sampling = false;
   config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
-  config.adaptive.cpu_scale = cpu_scale_for_lz_speed(data, kPaperLzReducingBps);
+  config.adaptive.cpu_meter = CpuMeter::paper_model();
 
   const auto result = run_adaptive(data, config);
   ASSERT_TRUE(result.verified);
@@ -258,6 +259,7 @@ TEST(Experiment, MolecularDataMostlyAvoidsLzAndBw) {
   ExperimentConfig config;
   config.background = netsim::mbone_trace().scaled(4.0);
   config.adaptive.async_sampling = false;
+  config.adaptive.cpu_meter = CpuMeter::paper_model();
 
   const auto result = run_adaptive(data, config);
   ASSERT_TRUE(result.verified);
@@ -274,6 +276,7 @@ TEST(Experiment, PolicyComparisonProducesAllFour) {
   const Bytes data = gen.text_block(512 * 1024);
   ExperimentConfig config;
   config.adaptive.async_sampling = false;
+  config.adaptive.cpu_meter = CpuMeter::paper_model();
   const auto results = run_policy_comparison(data, config);
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0].policy, "adaptive");
@@ -295,7 +298,7 @@ TEST(Experiment, UnloadedGigabitPrefersRawTransfer) {
   config.link = netsim::gigabit_link();
   config.adaptive.async_sampling = false;
   config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
-  config.adaptive.cpu_scale = cpu_scale_for_lz_speed(data, kPaperLzReducingBps);
+  config.adaptive.cpu_meter = CpuMeter::paper_model();
 
   const auto result = run_adaptive(data, config);
   ASSERT_TRUE(result.verified);
@@ -304,6 +307,40 @@ TEST(Experiment, UnloadedGigabitPrefersRawTransfer) {
     raw_blocks += b.method == MethodId::kNone;
   }
   EXPECT_GE(raw_blocks, result.stream.blocks.size() - 1);
+}
+
+TEST(Experiment, ModelMeterRepeatsFig08Exactly) {
+  // bench/fig08's scenario on the Fig. 4 model: no clock is read for CPU
+  // work, so two runs plan, encode and charge every block alike.
+  workloads::TransactionGenerator gen(2004);
+  const Bytes data = gen.text_block(160 * 128 * 1024);
+
+  ExperimentConfig config;
+  config.link = netsim::fast_ethernet_link();
+  config.link.jitter_frac = 0.02;
+  config.link.share_per_connection = 0.014;
+  config.background = netsim::mbone_trace().scaled(4.0);
+  config.pace = 1.0;
+  config.adaptive.async_sampling = false;
+  config.adaptive.initial_bandwidth_Bps = config.link.bandwidth_Bps;
+  config.adaptive.cpu_meter = CpuMeter::paper_model();
+
+  const auto first = run_adaptive(data, config);
+  const auto second = run_adaptive(data, config);
+  ASSERT_TRUE(first.verified);
+  ASSERT_TRUE(second.verified);
+  ASSERT_EQ(first.stream.blocks.size(), second.stream.blocks.size());
+  std::set<MethodId> seen;
+  for (std::size_t i = 0; i < first.stream.blocks.size(); ++i) {
+    const BlockReport& a = first.stream.blocks[i];
+    const BlockReport& b = second.stream.blocks[i];
+    EXPECT_EQ(a.method, b.method) << "block " << i;
+    EXPECT_EQ(a.wire_size, b.wire_size) << "block " << i;
+    EXPECT_EQ(a.compress_seconds, b.compress_seconds) << "block " << i;
+    seen.insert(a.method);
+  }
+  // Not a degenerate stream: the load ramp moves the choice.
+  EXPECT_GT(seen.size(), 1u);
 }
 
 }  // namespace

@@ -244,6 +244,8 @@ int run_broker_demo(const Options& opt) {
     sc.adaptive.decision.block_size = block_size;
     sc.adaptive.decision.sample_size = std::min<std::size_t>(1024, block_size);
     sc.adaptive.initial_bandwidth_Bps = link_bps;
+    // Fig. 4's model, not the wall clock: every run plans the same methods.
+    sc.adaptive.cpu_meter = adaptive::CpuMeter::paper_model();
     sc.adaptive.retransmit_capacity = opt.blocks + 8;
     sc.adaptive.retransmit_max_retries = 4;
     sc.egress_capacity = opt.blocks + 8;
@@ -390,6 +392,10 @@ int run_shm_demo(const Options& opt) {
         sc.adaptive.decision.block_size = block_size;
         sc.adaptive.decision.sample_size =
             std::min<std::size_t>(1024, block_size);
+        // Fig. 4's model, not the wall clock: the capture and shm fan-outs
+        // plan the same methods, so their frames can be compared byte for
+        // byte.
+        sc.adaptive.cpu_meter = adaptive::CpuMeter::paper_model();
         sc.egress_capacity = opt.blocks + 8;
         if (bus != nullptr) {
           eps.push_back(bus->endpoint());
