@@ -495,30 +495,6 @@ void FanoutBroker::set_shed(SubscriberId id, bool on) {
   sub->queue->set_shed_mode(on);
 }
 
-SubscriberMemory FanoutBroker::memory_usage(SubscriberId id) const {
-  const SubscriberPtr sub = find(id);
-  if (!sub) {
-    throw ConfigError("broker: unknown subscriber id " + std::to_string(id));
-  }
-  SubscriberMemory mem;
-  mem.egress_bytes = sub->queue->bytes();
-  {
-    std::lock_guard<std::mutex> lock(sub->sender_mutex);
-    mem.ring_bytes = sub->sender->retransmit_ring().bytes();
-  }
-  return mem;
-}
-
-std::size_t FanoutBroker::memory_usage_total() const {
-  std::size_t total = 0;
-  for (const auto& sub : snapshot()) {
-    total += sub->queue->bytes();
-    std::lock_guard<std::mutex> lock(sub->sender_mutex);
-    total += sub->sender->retransmit_ring().bytes();
-  }
-  return total;
-}
-
 std::size_t FanoutBroker::memory_usage_unique() const {
   // One seen-set threaded through every queue AND every ring: a shared-
   // encode frame held by all of them still counts once process-wide.

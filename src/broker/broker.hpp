@@ -61,14 +61,6 @@ struct BrokerResume {
   std::size_t replayed = 0;  ///< frames re-sent into the egress
 };
 
-/// One subscriber's share of process memory, for the session layer's
-/// MemoryBudget probe: queued egress frames plus retransmit-ring history.
-struct SubscriberMemory {
-  std::size_t egress_bytes = 0;
-  std::size_t ring_bytes = 0;
-  std::size_t total() const noexcept { return egress_bytes + ring_bytes; }
-};
-
 /// Broker-wide accounting. The shared-encode invariant the tests assert:
 /// encodes == cache_misses, and per block the number of codec runs equals
 /// the number of distinct chosen methods — NOT the subscriber count.
@@ -201,19 +193,11 @@ class FanoutBroker {
   /// ladder's drop-oldest stage. Parked subscribers are always shed.
   void set_shed(SubscriberId id, bool on);
 
-  /// `id`'s egress + retransmit-ring memory. Throws on unknown ids.
-  SubscriberMemory memory_usage(SubscriberId id) const;
-
-  /// Sum of memory_usage over every subscriber, parked or live. Counts
-  /// every queued/ringed frame at full size even when subscribers share
-  /// one backing buffer — the historical per-subscriber ledger.
-  std::size_t memory_usage_total() const;
-
-  /// Share-aware total: frames that alias one backing buffer (the shared-
-  /// encode fan-out case — N egress queues + N rings holding one slab)
-  /// charge the budget ONCE. This is what the session layer's MemoryBudget
-  /// and the overload ladder consume, so 64 subscribers sharing a slab no
-  /// longer look like 64 copies (DESIGN.md §16).
+  /// Egress + retransmit-ring bytes over every subscriber, counting frames
+  /// that alias one backing buffer (the shared-encode fan-out case — N
+  /// egress queues + N rings holding one slab) ONCE. The session layer's
+  /// MemoryBudget and overload ladder read it, so 64 subscribers sharing a
+  /// slab do not look like 64 copies (DESIGN.md §16).
   std::size_t memory_usage_unique() const;
 
   /// Attach this broker to a channel: every event submitted to the channel

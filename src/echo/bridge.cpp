@@ -7,16 +7,13 @@
 namespace acex::echo {
 namespace {
 
-// Message discriminators on the bridged transport. kMsgEvent is the legacy
-// unsequenced envelope and kMsgEventSeq the sequence-only one; senders now
-// emit kMsgEventSeqCrc (sequence + body CRC), but receivers keep accepting
-// all three so older peers interoperate. The CRC exists because a bit flip
-// inside the event body can survive deserialization: without it the
-// corrupted event is delivered as genuine AND consumes its sequence, so
-// the ring's clean copy is later dup-dropped (found by `acexfuzz --soak`).
-constexpr std::uint8_t kMsgEvent = 0;
+// Message discriminators on the bridged transport: events travel as
+// kMsgEventSeqCrc (sequence + body CRC), and any other kind a receiver
+// does not expect is ignored. The CRC exists because a bit flip inside
+// the event body can survive deserialization: without it the corrupted
+// event is delivered as genuine AND consumes its sequence, so the ring's
+// clean copy is later dup-dropped (found by `acexfuzz --soak`).
 constexpr std::uint8_t kMsgControl = 1;
-constexpr std::uint8_t kMsgEventSeq = 2;
 constexpr std::uint8_t kMsgEventSeqCrc = 3;
 
 Bytes wrap(std::uint8_t kind, ByteView body) {
@@ -134,17 +131,7 @@ std::size_t ChannelReceiver::poll(std::size_t max_events) {
       ++corrupt_;
       continue;
     }
-    const std::uint8_t kind = (*message)[0];
-    if (kind == kMsgEvent) {
-      // Legacy unsequenced event: no recovery metadata, best effort only.
-      try {
-        channel_->submit(deserialize_event(ByteView(*message).subspan(1)));
-        ++received_;
-        ++delivered;
-      } catch (const Error&) {
-        ++corrupt_;
-      }
-    } else if (kind == kMsgEventSeq || kind == kMsgEventSeqCrc) {
+    if ((*message)[0] == kMsgEventSeqCrc) {
       std::size_t pos = 1;
       try {
         const std::uint64_t seq = get_varint(*message, &pos);
@@ -153,23 +140,20 @@ std::size_t ChannelReceiver::poll(std::size_t max_events) {
           // Reject before it can poison gap tracking.
           throw DecodeError("bridge: implausible sequence");
         }
-        std::size_t body_end = message->size();
-        if (kind == kMsgEventSeqCrc) {
-          // Verify the trailing CRC before trusting anything — including
-          // the sequence just parsed. A damaged message must surface as a
-          // gap to NACK, not as a delivered event or a consumed sequence.
-          if (message->size() - pos < 4) {
-            throw DecodeError("bridge: event crc truncated");
-          }
-          body_end = message->size() - 4;
-          std::uint32_t crc = 0;
-          for (int i = 0; i < 4; ++i) {
-            crc |=
-                static_cast<std::uint32_t>((*message)[body_end + i]) << (8 * i);
-          }
-          if (crc32(ByteView(*message).subspan(1, body_end - 1)) != crc) {
-            throw DecodeError("bridge: event crc mismatch");
-          }
+        // Verify the trailing CRC before trusting anything — including
+        // the sequence just parsed. A damaged message must surface as a
+        // gap to NACK, not as a delivered event or a consumed sequence.
+        if (message->size() - pos < 4) {
+          throw DecodeError("bridge: event crc truncated");
+        }
+        const std::size_t body_end = message->size() - 4;
+        std::uint32_t crc = 0;
+        for (int i = 0; i < 4; ++i) {
+          crc |=
+              static_cast<std::uint32_t>((*message)[body_end + i]) << (8 * i);
+        }
+        if (crc32(ByteView(*message).subspan(1, body_end - 1)) != crc) {
+          throw DecodeError("bridge: event crc mismatch");
         }
         if (tracker_.duplicate(seq)) {
           ++duplicates_;

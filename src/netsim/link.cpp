@@ -72,6 +72,14 @@ LinkParams international_link() {
   return p;
 }
 
+LinkParams flat_link(double bandwidth_Bps) {
+  LinkParams p;
+  p.bandwidth_Bps = bandwidth_Bps;
+  p.latency_s = 0;
+  p.jitter_frac = 0;
+  return p;
+}
+
 const std::vector<LinkParams>& figure5_links() {
   static const std::vector<LinkParams> kLinks = {
       gigabit_link(), fast_ethernet_link(), megabit_link(),

@@ -31,6 +31,9 @@ LinkParams fast_ethernet_link();  ///< 7.52 MB/s, 8.95 % std-dev
 LinkParams megabit_link();        ///< 0.147 MB/s, 1.17 % std-dev
 LinkParams international_link();  ///< 0.109 MB/s, 46.02 % std-dev (GaTech <-> Bar-Ilan)
 
+/// A jitter-free, zero-latency link: a transfer takes size / bandwidth.
+LinkParams flat_link(double bandwidth_Bps);
+
 /// All four presets in Fig. 5 order.
 const std::vector<LinkParams>& figure5_links();
 

@@ -1,56 +1,38 @@
 #include "qa/chaos.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "adaptive/pipeline.hpp"
-#include "netsim/link.hpp"
 #include "obs/metrics.hpp"
+#include "qa/delivery.hpp"
 #include "qa/generators.hpp"
 #include "qa/oracles.hpp"
 #include "session/client.hpp"
 #include "session/manager.hpp"
-#include "transport/fault_transport.hpp"
-#include "transport/sim_transport.hpp"
 #include "util/clock.hpp"
-#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace acex::qa {
 namespace {
 
-constexpr std::size_t kMaxViolations = 64;
-
 /// Virtual seconds per chaos round; every lifecycle constant below is a
 /// multiple of this so the state machine's timing is round-countable.
 constexpr Seconds kRoundDt = 0.25;
 
-netsim::LinkParams chaos_link(double bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
-
 struct ChaosSoak {
   /// One network endpoint incarnation + the durable client riding it. The
-  /// endpoint (links, duplex, injector) is replaced wholesale at every
-  /// reconnect — a resumed session runs on a genuinely new "socket" — but
-  /// the SessionClient and its receiver cursor persist across kills.
+  /// endpoint (its faulted wire) is replaced wholesale at every reconnect —
+  /// a resumed session runs on a genuinely new "socket" — but the
+  /// SessionClient and its receiver cursor persist across kills.
   struct Peer {
-    std::unique_ptr<netsim::SimLink> forward;
-    std::unique_ptr<netsim::SimLink> reverse;
-    std::unique_ptr<transport::SimDuplex> duplex;
-    std::unique_ptr<transport::FaultInjectingTransport> lossy;
+    std::unique_ptr<FaultedWire> wire;
     std::unique_ptr<session::SessionClient> client;
     session::SessionId sid = 0;
-    std::size_t joined_at = 0;  ///< crcs.size() at connect of this session
-    std::map<std::uint64_t, std::uint32_t> recovered;  ///< local seq -> crc
+    DeliveryLedger::Receiver got;  ///< this session's view of the stream
     bool alive = true;
     std::size_t kills = 0;
     std::size_t revive_round = 0;
@@ -59,12 +41,12 @@ struct ChaosSoak {
 
   const ChaosConfig& config;
   ChaosReport& report;
+  const Violate violate;
 
   VirtualClock clock;
   session::SessionManager manager;
   std::vector<std::unique_ptr<Peer>> peers;
-  std::vector<std::uint32_t> crcs;  ///< ground truth per published block
-  std::uint64_t settled_delivered = 0;  ///< from pre-restart incarnations
+  DeliveryLedger ledger;
   std::size_t rounds_cap;
   std::uint64_t next_endpoint = 0;
   Rng rng;
@@ -72,7 +54,9 @@ struct ChaosSoak {
   ChaosSoak(const ChaosConfig& cfg, ChaosReport& rep)
       : config(cfg),
         report(rep),
+        violate(collect_into(rep.violations)),
         manager(clock),
+        ledger(violate),
         rounds_cap(cfg.rounds * 4),
         rng(cfg.seed + 97) {
     for (std::size_t i = 0; i < cfg.sessions; ++i) {
@@ -83,35 +67,11 @@ struct ChaosSoak {
     }
   }
 
-  void violate(std::string why) {
-    if (report.violations.size() < kMaxViolations) {
-      report.violations.push_back(std::move(why));
-    }
-  }
-
-  /// Rebuild the peer's network endpoint: new links, new duplex, a new
-  /// fault injector with its own deterministic seed. The old endpoint (if
-  /// any) is destroyed only after nothing references it — the caller must
-  /// rebind broker and receiver first, which resume()/connect() both do
-  /// before this incarnation's unique_ptrs are overwritten.
+  /// A new network endpoint for the peer, replacing (and destroying) its
+  /// old one.
   void fresh_endpoint(Peer& peer) {
-    const std::uint64_t n = ++next_endpoint;
-    peer.forward = std::make_unique<netsim::SimLink>(
-        chaos_link(2e7), config.seed * 131 + n * 2);
-    peer.reverse = std::make_unique<netsim::SimLink>(
-        chaos_link(2e8), config.seed * 131 + n * 2 + 1);
-    peer.duplex = std::make_unique<transport::SimDuplex>(*peer.forward,
-                                                         *peer.reverse, clock);
-    transport::FaultConfig fc;
-    fc.drop_prob = config.drop_prob;
-    fc.reorder_prob = config.reorder_prob;
-    fc.duplicate_prob = config.duplicate_prob;
-    fc.bit_flip_prob = config.bit_flip_prob;
-    fc.truncate_prob = config.truncate_prob;
-    fc.seed =
-        config.seed ^ (0x165667B19E3779F9ull + n * 0x27D4EB2F165667C5ull);
-    peer.lossy = std::make_unique<transport::FaultInjectingTransport>(
-        peer.duplex->a(), fc);
+    peer.wire =
+        endpoint_wire(clock, config.seed, ++next_endpoint, fault_mix(config));
   }
 
   session::SessionConfig session_config() const {
@@ -137,19 +97,19 @@ struct ChaosSoak {
 
   void connect(Peer& peer) {
     session::SessionConfig sc = session_config();
-    const session::ConnectResult cr = manager.connect(*peer.lossy, sc);
+    const session::ConnectResult cr =
+        manager.connect(peer.wire->sender(), sc);
     if (!cr.accepted) {
       violate("chaos: connect refused outside overload: " + cr.reason);
       return;
     }
     peer.sid = cr.session_id;
-    peer.joined_at = crcs.size();
-    peer.recovered.clear();
+    peer.got = ledger.join("chaos");
     session::ClientConfig cc;
     cc.receiver.nack_retry_cap = config.nack_retry_cap;
     peer.client = std::make_unique<session::SessionClient>(
         clock, cc, config.seed * 977 + cr.session_id);
-    peer.client->on_connected(cr.session_id, cr.token, peer.duplex->b(),
+    peer.client->on_connected(cr.session_id, cr.token, peer.wire->receiver(),
                               cr.heartbeat_interval);
     peer.alive = true;
   }
@@ -161,54 +121,24 @@ struct ChaosSoak {
     const Bytes& data = regimes[round_index % regimes.size()].data;
     for (std::size_t at = 0; at < data.size(); at += config.block_size) {
       const std::size_t len = std::min(config.block_size, data.size() - at);
-      crcs.push_back(crc32(ByteView(data.data() + at, len)));
+      ledger.publish(ByteView(data.data() + at, len));
       manager.publish(ByteView(data.data() + at, len));
-    }
-  }
-
-  void drain(Peer& peer) {
-    adaptive::AdaptiveReceiver* rx = peer.client->receiver();
-    const adaptive::ReceiveReport r = rx->receive_report();
-    for (const auto& frame : r.frames) {
-      if (frame.status != adaptive::FrameOutcome::Status::kOk) continue;
-      if (!frame.has_sequence) {
-        violate("chaos: intact frame delivered without a sequence");
-        continue;
-      }
-      const std::uint64_t global = peer.joined_at + frame.sequence;
-      if (global >= crcs.size()) {
-        violate("chaos: delivered sequence " +
-                std::to_string(frame.sequence) +
-                " maps past the published stream");
-        continue;
-      }
-      const std::uint32_t got = crc32(frame.data);
-      if (!peer.recovered.emplace(frame.sequence, got).second) {
-        violate("chaos: frame " + std::to_string(frame.sequence) +
-                " delivered twice across a resume (duplication)");
-      } else if (got != crcs[static_cast<std::size_t>(global)]) {
-        violate("chaos: frame " + std::to_string(frame.sequence) +
-                " diverged from block " + std::to_string(global) +
-                " after a resume (byte-identity broken)");
-      }
     }
   }
 
   void pump_and_drain(Peer& peer) {
     manager.pump(peer.sid);
-    peer.lossy->flush();
-    drain(peer);
+    peer.wire->flush();
+    ledger.drain(peer.got, peer.client->receiver()->receive_report());
   }
 
   bool nack_cycle(Peer& peer, int extra_passes) {
-    for (int pass = 0; pass < config.nack_retry_cap + extra_passes; ++pass) {
-      const std::vector<std::uint64_t> nacks =
-          peer.client->receiver()->take_nacks();
-      if (nacks.empty()) return true;
-      manager.retransmit(peer.sid, nacks);
-      pump_and_drain(peer);
-    }
-    return peer.client->receiver()->take_nacks().empty();
+    return replay_nacks(*peer.client->receiver(),
+                        config.nack_retry_cap + extra_passes,
+                        [&](const std::vector<std::uint64_t>& nacks) {
+                          manager.retransmit(peer.sid, nacks);
+                          pump_and_drain(peer);
+                        });
   }
 
   void kill(Peer& peer, std::size_t round) {
@@ -227,7 +157,7 @@ struct ChaosSoak {
 
   /// Dead peer's half-open socket: whatever is in flight is lost.
   void drop_in_flight(Peer& peer) {
-    while (peer.duplex->b().receive()) {
+    while (peer.wire->receiver().receive()) {
     }
   }
 
@@ -238,22 +168,17 @@ struct ChaosSoak {
       clock.advance(std::min<Seconds>(*delay, kRoundDt / 8));
     }
     const std::uint64_t resume_from = peer.client->resume_from();
-    // Tear the dead socket down before standing up its replacement (the
-    // injector and duplex reference the links, so order matters). Nothing
-    // touches the broker-side dangling pointer until resume() swaps it:
-    // the session is parked (or parks first thing inside resume) and a
-    // parked subscriber's pump bails before dereferencing its transport.
-    peer.lossy.reset();
-    peer.duplex.reset();
-    peer.forward.reset();
-    peer.reverse.reset();
+    // Replace the dead socket. Nothing touches the broker-side dangling
+    // pointer to the old one until resume() swaps it: the session is
+    // parked (or parks first thing inside resume) and a parked
+    // subscriber's pump bails before dereferencing its transport.
     fresh_endpoint(peer);
     const session::ResumeResult rr = manager.resume(
-        peer.sid, peer.client->token(), resume_from, *peer.lossy);
+        peer.sid, peer.client->token(), resume_from, peer.wire->sender());
     switch (rr.status) {
       case session::ResumeResult::Status::kResumed:
         ++report.resumes;
-        peer.client->on_resumed(peer.duplex->b(), peer.client->token());
+        peer.client->on_resumed(peer.wire->receiver(), peer.client->token());
         peer.alive = true;
         pump_and_drain(peer);
         nack_cycle(peer, 2);
@@ -262,7 +187,7 @@ struct ChaosSoak {
         // Expired (or gap evicted): the old incarnation's deliveries are
         // settled and the client reconnects as a brand-new session.
         ++report.restarts;
-        settled_delivered += peer.recovered.size();
+        ledger.leave(peer.got);
         connect(peer);
         break;
       case session::ResumeResult::Status::kRejected:
@@ -333,10 +258,9 @@ struct ChaosSoak {
       manager.tick();
     }
 
-    transport::FaultConfig clean;
-    for (auto& peer : peers) peer->lossy->set_config(clean);
+    for (auto& peer : peers) peer->wire->heal();
     const Bytes sentinel = rng.bytes(config.block_size);
-    crcs.push_back(crc32(sentinel));
+    ledger.publish(sentinel);
     manager.publish(sentinel);
 
     for (auto& peer : peers) {
@@ -348,31 +272,22 @@ struct ChaosSoak {
       if (!nack_cycle(*peer, 4)) {
         violate("chaos: NACK traffic did not converge on a healed link");
       }
-      const std::uint64_t published_while = crcs.size() - peer->joined_at;
-      adaptive::AdaptiveReceiver* rx = peer->client->receiver();
-      const std::size_t abandoned = rx->nacks_abandoned();
-      const std::size_t gaps = rx->receive_report().gaps.size();
-      if (peer->recovered.size() + abandoned + gaps != published_while) {
-        violate("chaos: accounting leak: " +
-                std::to_string(peer->recovered.size()) + " recovered + " +
-                std::to_string(abandoned) + " abandoned + " +
-                std::to_string(gaps) + " gaps != " +
-                std::to_string(published_while) + " published while joined");
-      }
-      if (abandoned + gaps != 0) {
+      // settle() fails on a surviving gap; an abandoned block is lost too.
+      adaptive::AdaptiveReceiver& rx = *peer->client->receiver();
+      ledger.settle(peer->got, rx);
+      if (rx.nacks_abandoned() != 0) {
         violate("chaos: session ended with " +
-                std::to_string(abandoned + gaps) +
-                " lost blocks — resume fidelity broken");
+                std::to_string(rx.nacks_abandoned()) +
+                " abandoned blocks — resume fidelity broken");
       }
-      report.delivered += peer->recovered.size();
       if (peer->kills < config.min_kills) {
         violate("chaos: peer only survived " + std::to_string(peer->kills) +
                 " kills; the schedule must reach " +
                 std::to_string(config.min_kills));
       }
     }
-    report.delivered += settled_delivered;
-    report.published = crcs.size();
+    report.delivered = ledger.recovered();
+    report.published = ledger.published();
 
     const session::SessionCounters sc = manager.counters();
     report.expired = sc.expired;

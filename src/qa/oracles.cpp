@@ -6,10 +6,9 @@
 #include "colpipe/columnar_codec.hpp"
 #include "compress/frame.hpp"
 #include "compress/zlib_codec.hpp"
-#include "netsim/link.hpp"
 #include "pbio/pbio.hpp"
 #include "echo/event.hpp"
-#include "transport/sim_transport.hpp"
+#include "qa/delivery.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/varint.hpp"
@@ -19,24 +18,6 @@ namespace {
 
 std::string method_tag(MethodId id) {
   return std::string(method_name(id));
-}
-
-netsim::LinkParams flat_link(double bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
-
-adaptive::AdaptiveConfig engine_config(std::size_t workers,
-                                       std::size_t block_size) {
-  adaptive::AdaptiveConfig config;
-  config.async_sampling = false;  // deterministic
-  config.decision.block_size = block_size;
-  config.decision.sample_size = std::min<std::size_t>(1024, block_size);
-  config.worker_threads = workers;
-  return config;
 }
 
 /// A series' reading in `snapshot` (gauges two's-complement, so deltas
@@ -49,15 +30,6 @@ std::uint64_t reading(const obs::MetricsSnapshot& snapshot,
   return p->kind == obs::MetricPoint::Kind::kGauge
              ? static_cast<std::uint64_t>(p->gauge)
              : p->counter;
-}
-
-/// Drain every raw message pending at a SimHalf.
-std::vector<Bytes> drain_wire(transport::SimHalf& endpoint) {
-  std::vector<Bytes> messages;
-  while (auto message = endpoint.receive()) {
-    messages.push_back(std::move(*message));
-  }
-  return messages;
 }
 
 }  // namespace
@@ -233,25 +205,22 @@ Verdict colpipe_survives(const Bytes& mutated, std::size_t original_hint) {
 Verdict serial_parallel_identity(ByteView data, MethodId method,
                                  std::size_t workers, std::size_t block_size,
                                  std::size_t* blocks_out) {
-  // Serial reference wire stream.
-  VirtualClock serial_clock;
-  netsim::SimLink sf(flat_link(1e8), 1), sr(flat_link(1e9), 2);
-  transport::SimDuplex serial_duplex(sf, sr, serial_clock);
-  adaptive::AdaptiveSender serial(serial_duplex.a(),
-                                  engine_config(1, block_size));
-  colpipe::register_columnar(serial.registry());
-  serial.send_all_fixed(data, method);
-  const std::vector<Bytes> serial_wire = drain_wire(serial_duplex.b());
-
-  // Parallel wire stream over an identical emulated link.
-  VirtualClock parallel_clock;
-  netsim::SimLink pf(flat_link(1e8), 1), pr(flat_link(1e9), 2);
-  transport::SimDuplex parallel_duplex(pf, pr, parallel_clock);
-  adaptive::AdaptiveSender parallel(parallel_duplex.a(),
-                                    engine_config(workers, block_size));
-  colpipe::register_columnar(parallel.registry());
-  parallel.send_all_fixed(data, method);
-  const std::vector<Bytes> parallel_wire = drain_wire(parallel_duplex.b());
+  // The raw frames an n-worker sender puts on an identical emulated link.
+  const auto wire_of = [&](std::size_t n) {
+    VirtualClock clock;
+    FaultedWire link(clock, 1e8, 1e9, 1);
+    adaptive::AdaptiveSender sender(link.sender(),
+                                    engine_config(n, block_size));
+    colpipe::register_columnar(sender.registry());
+    sender.send_all_fixed(data, method);
+    std::vector<Bytes> frames;
+    while (auto frame = link.receiver().receive()) {
+      frames.push_back(std::move(*frame));
+    }
+    return frames;
+  };
+  const std::vector<Bytes> serial_wire = wire_of(1);
+  const std::vector<Bytes> parallel_wire = wire_of(workers);
 
   if (blocks_out != nullptr) *blocks_out = serial_wire.size();
   if (serial_wire.size() != parallel_wire.size()) {
@@ -285,23 +254,17 @@ Verdict serial_parallel_identity(ByteView data, MethodId method,
 
 Verdict serial_parallel_adaptive(ByteView data, std::size_t workers,
                                  std::size_t block_size) {
-  VirtualClock serial_clock;
-  netsim::SimLink sf(flat_link(1e8), 1), sr(flat_link(1e9), 2);
-  transport::SimDuplex serial_duplex(sf, sr, serial_clock);
-  adaptive::AdaptiveSender serial(serial_duplex.a(),
-                                  engine_config(1, block_size));
-  serial.send_all(data);
-  adaptive::AdaptiveReceiver serial_rx(serial_duplex.b());
-  const Bytes serial_payload = serial_rx.receive_available();
-
-  VirtualClock parallel_clock;
-  netsim::SimLink pf(flat_link(1e8), 1), pr(flat_link(1e9), 2);
-  transport::SimDuplex parallel_duplex(pf, pr, parallel_clock);
-  adaptive::AdaptiveSender parallel(parallel_duplex.a(),
-                                    engine_config(workers, block_size));
-  parallel.send_all(data);
-  adaptive::AdaptiveReceiver parallel_rx(parallel_duplex.b());
-  const Bytes parallel_payload = parallel_rx.receive_available();
+  // What an n-worker sender delivers over an identical emulated link.
+  const auto delivered_by = [&](std::size_t n) {
+    VirtualClock clock;
+    FaultedWire link(clock, 1e8, 1e9, 1);
+    adaptive::AdaptiveSender sender(link.sender(),
+                                    engine_config(n, block_size));
+    sender.send_all(data);
+    return adaptive::AdaptiveReceiver(link.receiver()).receive_available();
+  };
+  const Bytes serial_payload = delivered_by(1);
+  const Bytes parallel_payload = delivered_by(workers);
 
   if (serial_payload != parallel_payload) {
     return Verdict::fail("adaptive delivered payload diverged at " +

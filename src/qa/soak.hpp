@@ -16,8 +16,9 @@
 //     recovered or explicitly abandoned — nothing stays in limbo
 //     (recovered + abandoned + gaps == published on every half).
 //
-// Everything is a pure function of SoakConfig::seed, so a violation
-// reproduces by re-running with the same config.
+// Faults and the pub/sub and broker halves (on Fig. 4's model meter) are
+// pure functions of SoakConfig::seed, so a violation reproduces with the
+// same config; only the engine half's framing follows the wall clock.
 
 #include <cstdint>
 #include <string>

@@ -1,9 +1,8 @@
 #pragma once
 
-// Test doubles shared by the test binaries: flat emulated links, a
-// simulated-duplex fixture, frame sinks, misbehaving codecs and a
-// recovered-frame collector. Everything is inline so a binary pays only
-// for what it uses.
+// Test doubles shared by the test binaries: simulated duplexes over
+// netsim::flat_link, frame sinks, misbehaving codecs and a recovered-frame
+// collector. Everything is inline so a binary pays only for what it uses.
 
 #include <gtest/gtest.h>
 
@@ -22,14 +21,7 @@
 
 namespace acex {
 
-/// A jitter-free, zero-latency link: transfer time is size / bandwidth.
-inline netsim::LinkParams flat_link(double bps = 1e6) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
+using netsim::flat_link;
 
 /// One emulated duplex on its own virtual clock: `bps` forward, 1 GB/s
 /// back.

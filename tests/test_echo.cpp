@@ -402,8 +402,8 @@ TEST(EventBus, RemoveSourceDuringDerivedControlSignalIsSafe) {
 class BridgeTest : public ::testing::Test {
  protected:
   VirtualClock clock_;
-  netsim::SimLink forward_{flat_link(), 1};
-  netsim::SimLink reverse_{flat_link(), 2};
+  netsim::SimLink forward_{flat_link(1e6), 1};
+  netsim::SimLink reverse_{flat_link(1e6), 2};
   transport::SimDuplex duplex_{forward_, reverse_, clock_};
 };
 

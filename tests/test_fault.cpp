@@ -780,14 +780,14 @@ TEST_F(FaultTest, BridgeIgnoresCorruptSequenceHeaders) {
   // A flipped continuation bit in the sequence varint yields a huge value.
   // Variant 1: the body after the (mis-)parsed varint fails to deserialize.
   Bytes forged_bad_body;
-  forged_bad_body.push_back(2);  // kMsgEventSeq
+  forged_bad_body.push_back(3);  // kMsgEventSeqCrc
   put_varint(forged_bad_body, (1ull << 59));
   forged_bad_body.push_back(0xFF);
   duplex_->a().send(forged_bad_body);
   // Variant 2: the body deserializes fine, but the sequence is implausibly
   // far ahead of the delivery cursor — rejected by the gap-window clamp.
   Bytes forged_good_body;
-  forged_good_body.push_back(2);
+  forged_good_body.push_back(3);
   put_varint(forged_good_body, UINT64_MAX);
   const Bytes body = echo::serialize_event(echo::Event(Bytes{9}));
   forged_good_body.insert(forged_good_body.end(), body.begin(), body.end());

@@ -391,6 +391,9 @@ TEST(QaSoak, SoakIsDeterministicForAFixedSeed) {
   // and every counter below are pure functions of the seed.
   config.bit_flip_prob = 0;
   config.truncate_prob = 0;
+  // The broker half plans on Fig. 4's model meter, so its encode counts
+  // are pure functions of the seed as well.
+  config.broker_subscribers = 4;
   const qa::SoakReport a = qa::run_soak(config);
   const qa::SoakReport b = qa::run_soak(config);
   EXPECT_EQ(a.events_published, b.events_published);
@@ -398,6 +401,12 @@ TEST(QaSoak, SoakIsDeterministicForAFixedSeed) {
   EXPECT_EQ(a.blocks_sent, b.blocks_sent);
   EXPECT_EQ(a.blocks_recovered, b.blocks_recovered);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.broker_blocks, b.broker_blocks);
+  EXPECT_EQ(a.broker_recovered, b.broker_recovered);
+  EXPECT_EQ(a.broker_abandoned, b.broker_abandoned);
+  EXPECT_EQ(a.broker_retransmits, b.broker_retransmits);
+  EXPECT_EQ(a.broker_encodes, b.broker_encodes);
+  EXPECT_EQ(a.broker_cache_hits, b.broker_cache_hits);
   EXPECT_EQ(a.violations, b.violations);
 }
 

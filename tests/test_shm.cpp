@@ -581,19 +581,18 @@ TEST(ShmBroker, SharedFrameCountsOnceInUniqueMemoryAccounting) {
   constexpr int kSubs = 6;
   broker::FanoutBroker fan;
   std::vector<std::unique_ptr<CaptureTransport>> sinks;
+  std::vector<broker::SubscriberId> ids;
   for (int i = 0; i < kSubs; ++i) {
     sinks.push_back(std::make_unique<CaptureTransport>());
-    fan.subscribe(*sinks.back());
+    ids.push_back(fan.subscribe(*sinks.back()));
   }
   fan.publish(testdata::low_entropy(8 * 1024, 77));
   // No pump: every subscriber's egress still queues its frame, and every
-  // retransmit ring holds it too — 12 references, ONE buffer.
-  const std::size_t total = fan.memory_usage_total();
-  const std::size_t unique = fan.memory_usage_unique();
-  ASSERT_GT(unique, 0u);
-  // The per-reference ledger sees 2 * kSubs copies; the share-aware one
-  // must see exactly one buffer's worth.
-  EXPECT_EQ(total, unique * 2 * kSubs);
+  // retransmit ring holds it too — 12 references, ONE buffer. The
+  // share-aware total must see exactly one frame's worth.
+  const std::uint64_t frame_bytes = fan.subscriber_stats(ids.front()).bytes;
+  ASSERT_GT(frame_bytes, 0u);
+  EXPECT_EQ(fan.memory_usage_unique(), frame_bytes);
 }
 
 TEST(ShmBroker, EgressQueuesShareOneBufferAcrossSubscribers) {

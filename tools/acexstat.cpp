@@ -8,12 +8,12 @@
 //   acexstat --chaos SESSIONS [-s SEED]
 //   acexstat --shm SUBS [-n BLOCKS] [-b BLOCK_KIB] [-w WORKERS]
 //
-// The run itself doubles as a consistency check: the obs counters mirrored
-// by FaultInjectingTransport must match the injector's own tallies exactly,
-// the NACK/retransmit counters must match the sender/receiver bookkeeping,
-// and every histogram must satisfy p50 <= p99. Any violation exits 1 —
-// CI runs this binary as a test. In every mode each obs comparison is one
-// (series, ground truth) row checked by qa::check_series.
+// The run itself doubles as a consistency check: each recovered block must
+// arrive once and match the block sent, the obs fault counters must match
+// the injector's own tallies, the NACK/retransmit counters the sender and
+// receiver bookkeeping, and every histogram must satisfy p50 <= p99. Any
+// violation exits 1 — CI runs this binary as a test. In every mode each obs
+// comparison is one (series, ground truth) row checked by qa::check_series.
 //
 // --chaos SESSIONS runs the session-resilience battery instead: SESSIONS
 // durable sessions are killed and reconnected mid-stream over faulted
@@ -48,16 +48,14 @@
 #include "adaptive/pipeline.hpp"
 #include "broker/broker.hpp"
 #include "engine/thread_pool.hpp"
-#include "netsim/link.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "qa/chaos.hpp"
+#include "qa/delivery.hpp"
 #include "qa/oracles.hpp"
 #include "shm/bus.hpp"
 #include "transport/fault_transport.hpp"
-#include "transport/sim_transport.hpp"
-#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -76,14 +74,6 @@ struct Options {
   std::string prom_path;
   bool dump_spans = false;
 };
-
-netsim::LinkParams flat_link(double bps) {
-  netsim::LinkParams p;
-  p.bandwidth_Bps = bps;
-  p.jitter_frac = 0;
-  p.latency_s = 0;
-  return p;
-}
 
 /// Deterministic test payload: repetitive text with a pseudo-random block
 /// mixed in every fourth block, so the selector exercises several methods.
@@ -182,19 +172,14 @@ int usage() {
 }
 
 // ------------------------------------------------------ fan-out demo mode
-/// One broker subscriber endpoint for the demo: its own sim duplex (all on
-/// a shared virtual clock), optionally behind a fault injector, with a
-/// NACK receiver draining the far side.
+/// One broker subscriber endpoint for the demo: its own wire (all on a
+/// shared virtual clock), every fourth one faulted, with a NACK receiver
+/// draining the far side.
 struct DemoSubscriber {
-  std::unique_ptr<netsim::SimLink> forward;
-  std::unique_ptr<netsim::SimLink> reverse;
-  std::unique_ptr<transport::SimDuplex> duplex;
-  std::unique_ptr<transport::FaultInjectingTransport> lossy;  // may be null
+  std::unique_ptr<qa::FaultedWire> wire;
   std::unique_ptr<adaptive::AdaptiveReceiver> rx;
   broker::SubscriberId id = 0;
-  std::string name;
-  bool faulted = false;
-  std::map<std::uint64_t, std::uint32_t> recovered;  // sequence -> crc32
+  qa::DeliveryLedger::Receiver got;
 };
 
 int run_broker_demo(const Options& opt) {
@@ -205,6 +190,9 @@ int run_broker_demo(const Options& opt) {
   broker::BrokerConfig bc;
   bc.worker_threads = opt.workers;
   broker::FanoutBroker broker(bc);
+  Failures failures;
+  qa::DeliveryLedger ledger(
+      [&](std::string v) { failures.push_back(std::move(v)); });
 
   // Heterogeneous fleet: even subscribers ride a fast link, odd ones a slow
   // link (so the planners pick different methods and the encode cache has
@@ -213,34 +201,24 @@ int run_broker_demo(const Options& opt) {
   for (std::size_t i = 0; i < opt.broker_subs; ++i) {
     auto sub = std::make_unique<DemoSubscriber>();
     const bool fast = i % 2 == 0;
+    const bool faulted = i % 4 == 3;
     const double link_bps = fast ? 5e7 : 2e5;
-    sub->forward = std::make_unique<netsim::SimLink>(flat_link(link_bps),
-                                                     opt.seed + i * 2);
-    sub->reverse = std::make_unique<netsim::SimLink>(flat_link(1e9),
-                                                     opt.seed + i * 2 + 1);
-    sub->duplex = std::make_unique<transport::SimDuplex>(
-        *sub->forward, *sub->reverse, clock);
-    transport::Transport* wire = &sub->duplex->a();
-    if (i % 4 == 3) {
-      sub->faulted = true;
-      transport::FaultConfig faults;
-      faults.drop_prob = 0.05;
-      faults.bit_flip_prob = 0.02;
-      faults.seed = opt.seed * 31 + i;
-      sub->lossy = std::make_unique<transport::FaultInjectingTransport>(
-          *wire, faults);
-      wire = sub->lossy.get();
-    }
+    transport::FaultConfig faults;
+    faults.drop_prob = 0.05;
+    faults.bit_flip_prob = 0.02;
+    faults.seed = opt.seed * 31 + i;
+    sub->wire = std::make_unique<qa::FaultedWire>(
+        clock, link_bps, 1e9, opt.seed + i * 2,
+        faulted ? std::optional(faults) : std::nullopt);
     adaptive::ReceiverConfig rc;
     rc.policy = adaptive::RecoveryPolicy::kNack;
     rc.nack_retry_cap = 4;
-    sub->rx =
-        std::make_unique<adaptive::AdaptiveReceiver>(sub->duplex->b(), rc);
+    sub->rx = std::make_unique<adaptive::AdaptiveReceiver>(
+        sub->wire->receiver(), rc);
 
     broker::SubscriberConfig sc;
-    sub->name = (fast ? "fast-" : "slow-") + std::to_string(i);
-    if (sub->faulted) sub->name += "-faulted";
-    sc.name = sub->name;
+    sc.name = (fast ? "fast-" : "slow-") + std::to_string(i);
+    if (faulted) sc.name += "-faulted";
     sc.adaptive.decision.block_size = block_size;
     sc.adaptive.decision.sample_size = std::min<std::size_t>(1024, block_size);
     sc.adaptive.initial_bandwidth_Bps = link_bps;
@@ -249,50 +227,33 @@ int run_broker_demo(const Options& opt) {
     sc.adaptive.retransmit_capacity = opt.blocks + 8;
     sc.adaptive.retransmit_max_retries = 4;
     sc.egress_capacity = opt.blocks + 8;
-    sub->id = broker.subscribe(*wire, sc);
+    sub->got = ledger.join(sc.name);
+    sub->id = broker.subscribe(sub->wire->sender(), sc);
     subs.push_back(std::move(sub));
   }
 
   // Publish the stream, pump every subscriber, drain + NACK-replay the
   // faulted ones until every receiver has every block.
   const Bytes data = make_payload(opt.blocks, block_size, opt.seed);
-  std::vector<std::uint32_t> truth;
   for (std::size_t at = 0; at < data.size(); at += block_size) {
-    const std::size_t len = std::min(block_size, data.size() - at);
-    const ByteView block(data.data() + at, len);
-    truth.push_back(crc32(block));
+    const ByteView block(data.data() + at,
+                         std::min(block_size, data.size() - at));
+    ledger.publish(block);
     broker.publish(block);
   }
 
-  Failures failures;
-  const auto drain = [&](DemoSubscriber& sub) {
-    for (const adaptive::FrameOutcome& f : sub.rx->receive_report().frames) {
-      if (f.status != adaptive::FrameOutcome::Status::kOk) continue;
-      const std::string block =
-          sub.name + " block " + std::to_string(f.sequence);
-      if (f.sequence >= truth.size()) {
-        failures.push_back(block + " was never published");
-        continue;
-      }
-      const std::uint32_t got = crc32(f.data);
-      sub.recovered.emplace(f.sequence, got);
-      if (got != truth[static_cast<std::size_t>(f.sequence)]) {
-        failures.push_back(block + " payload diverged");
-      }
-    }
-  };
   for (auto& sub : subs) {
-    broker.pump(sub->id);
-    if (sub->lossy) sub->lossy->flush();
-    drain(*sub);
-    for (int round = 0; round < 16; ++round) {
-      const std::vector<std::uint64_t> nacks = sub->rx->take_nacks();
-      if (nacks.empty()) break;
-      broker.retransmit(sub->id, nacks);
+    const auto pump_and_drain = [&] {
       broker.pump(sub->id);
-      if (sub->lossy) sub->lossy->flush();
-      drain(*sub);
-    }
+      sub->wire->flush();
+      ledger.drain(sub->got, sub->rx->receive_report());
+    };
+    pump_and_drain();
+    qa::replay_nacks(*sub->rx, 16,
+                     [&](const std::vector<std::uint64_t>& nacks) {
+                       broker.retransmit(sub->id, nacks);
+                       pump_and_drain();
+                     });
   }
 
   // Obs rows: every broker series equals the broker's own bookkeeping, and
@@ -300,6 +261,7 @@ int run_broker_demo(const Options& opt) {
   const broker::BrokerStats bs = broker.stats();
   std::uint64_t total_frames = 0;
   std::uint64_t fault_messages = 0;
+  std::size_t least_recovered = ledger.published();
   std::vector<qa::SeriesRow> rows = {
       {"acex.broker.blocks", bs.blocks},
       {"acex.broker.encode_cache.hits", bs.cache_hits},
@@ -309,15 +271,18 @@ int run_broker_demo(const Options& opt) {
   for (auto& sub : subs) {
     const broker::SubscriberStats ss = broker.subscriber_stats(sub->id);
     total_frames += ss.frames;
-    if (sub->lossy) fault_messages += sub->lossy->counters().messages;
-    const std::string label = "{subscriber=\"" + sub->name + "\"}";
+    fault_messages += sub->wire->counters().messages;
+    const std::string& name = sub->got.label;
+    const std::string label = "{subscriber=\"" + name + "\"}";
     rows.push_back({"acex.broker.sub.frames" + label, ss.frames});
     rows.push_back({"acex.broker.sub.drops" + label, ss.drops});
     rows.push_back({"acex.broker.sub.fallbacks" + label, ss.fallbacks});
-    expect_identity(failures, sub->name + " recovered blocks",
-                    sub->recovered.size(), truth.size());
+    ledger.settle(sub->got, *sub->rx);
+    expect_identity(failures, name + " recovered blocks",
+                    sub->got.recovered.size(), ledger.published());
+    least_recovered = std::min(least_recovered, sub->got.recovered.size());
     if (broker.disconnected(sub->id)) {
-      failures.push_back(sub->name + " disconnected unexpectedly");
+      failures.push_back(name + " disconnected unexpectedly");
     }
   }
   rows.push_back({"acex.transport.fault.messages", fault_messages});
@@ -325,11 +290,10 @@ int run_broker_demo(const Options& opt) {
 
   // Plain identities: the cache accounts for every planned frame, and
   // misses == codec runs.
-  expect_identity(failures, "broker blocks", bs.blocks, truth.size());
-  expect_identity(failures, "broker encodes vs misses", bs.encodes,
-                  bs.cache_misses);
-  expect_identity(failures, "broker cache lookups",
-                  bs.cache_hits + bs.cache_misses, total_frames);
+  for (std::string& v :
+       qa::shared_encode_identity(bs, ledger.published(), total_frames)) {
+    failures.push_back("MISMATCH " + std::move(v));
+  }
 
   const double hit_ratio =
       bs.cache_hits + bs.cache_misses == 0
@@ -337,16 +301,16 @@ int run_broker_demo(const Options& opt) {
           : static_cast<double>(bs.cache_hits) /
                 static_cast<double>(bs.cache_hits + bs.cache_misses);
   std::printf(
-      "acexstat --broker: %zu subscribers x %zu blocks (%zu KiB), seed %llu\n"
+      "acexstat --broker: %zu subscribers x %llu blocks (%zu KiB), seed %llu\n"
       "  encodes %llu, cache hits %llu (%.1f%% shared), last block had %llu "
       "method group(s)\n"
-      "  every subscriber recovered %zu/%zu blocks byte-exact\n",
-      subs.size(), truth.size(), opt.block_kib,
-      static_cast<unsigned long long>(opt.seed),
+      "  every subscriber recovered %zu/%llu blocks byte-exact\n",
+      subs.size(), static_cast<unsigned long long>(ledger.published()),
+      opt.block_kib, static_cast<unsigned long long>(opt.seed),
       static_cast<unsigned long long>(bs.encodes),
       static_cast<unsigned long long>(bs.cache_hits), hit_ratio * 100.0,
-      static_cast<unsigned long long>(bs.last_groups), truth.size(),
-      truth.size());
+      static_cast<unsigned long long>(bs.last_groups), least_recovered,
+      static_cast<unsigned long long>(ledger.published()));
   return verdict(failures, "obs counters match ground truth on every series");
 }
 
@@ -577,71 +541,52 @@ int run_chaos_stat(const Options& opt) {
 int run(const Options& opt) {
   const obs::MetricsSnapshot before = reset_registry();
   VirtualClock clock;
-  netsim::SimLink forward(flat_link(5e6), opt.seed);
-  netsim::SimLink reverse(flat_link(1e9), opt.seed + 1);
-  transport::SimDuplex duplex(forward, reverse, clock);
-
   transport::FaultConfig faults;
   faults.bit_flip_prob = 0.02;
   faults.drop_prob = 0.01;
   faults.duplicate_prob = 0.01;
   faults.reorder_prob = 0.02;
   faults.seed = opt.seed;
-  transport::FaultInjectingTransport lossy(duplex.a(), faults);
+  qa::FaultedWire wire(clock, 5e6, 1e9, opt.seed, faults);
 
-  adaptive::AdaptiveConfig config;
-  config.async_sampling = false;  // deterministic
-  config.decision.block_size = opt.block_kib * 1024;
-  config.decision.sample_size = std::min<std::size_t>(1024, opt.block_kib * 1024);
-  config.worker_threads = opt.workers;
+  adaptive::AdaptiveConfig config =
+      qa::engine_config(opt.workers, opt.block_kib * 1024);
   config.retransmit_capacity = opt.blocks + 8;  // keep every frame replayable
   config.retransmit_max_retries = 4;
-  adaptive::AdaptiveSender sender(lossy, config);
-  adaptive::AdaptiveReceiver rx(duplex.b(),
+  adaptive::AdaptiveSender sender(wire.sender(), config);
+  adaptive::AdaptiveReceiver rx(wire.receiver(),
                                 {adaptive::RecoveryPolicy::kNack, 4});
 
+  // Every recovered block is checked against the block that was sent.
+  Failures failures;
+  qa::DeliveryLedger ledger(
+      [&](std::string v) { failures.push_back(std::move(v)); });
+  qa::DeliveryLedger::Receiver got = ledger.join("rx");
   const Bytes data =
       make_payload(opt.blocks, config.decision.block_size, opt.seed);
+  ledger.publish(data, config.decision.block_size);
   const adaptive::StreamReport stream = sender.send_all(data);
-  lossy.flush();
-
-  std::map<std::uint64_t, Bytes> recovered;
-  const auto absorb = [&](const adaptive::ReceiveReport& report) {
-    for (const adaptive::FrameOutcome& f : report.frames) {
-      if (f.status == adaptive::FrameOutcome::Status::kOk) {
-        recovered.emplace(f.sequence, f.data);
-      }
-    }
-  };
-  absorb(rx.receive_report());
+  wire.flush();
+  ledger.drain(got, rx.receive_report());
 
   std::uint64_t nacks_issued = 0;
-  for (int round = 0; round < 16; ++round) {
-    const std::vector<std::uint64_t> nacks = rx.take_nacks();
-    if (nacks.empty()) break;
+  qa::replay_nacks(rx, 16, [&](const std::vector<std::uint64_t>& nacks) {
     nacks_issued += nacks.size();
     sender.retransmit(nacks);
-    lossy.flush();
-    absorb(rx.receive_report());
-  }
+    wire.flush();
+    ledger.drain(got, rx.receive_report());
+  });
 
   const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::global().snapshot();
   const std::vector<obs::SpanEvent> spans = obs::BlockTracer::global().snapshot();
 
   // ------------------------------------------------ consistency checks
-  const transport::FaultCounters& c = lossy.counters();
-  Failures failures;
-  check_rows(failures, before,
-             {{"acex.transport.fault.messages", c.messages},
-              {"acex.transport.fault.drops", c.drops},
-              {"acex.transport.fault.reorders", c.reorders},
-              {"acex.transport.fault.duplicates", c.duplicates},
-              {"acex.transport.fault.bit_flips", c.bit_flips},
-              {"acex.transport.fault.truncations", c.truncations},
-              {"acex.transport.fault.clean", c.clean},
-              {"acex.adaptive.rx.nacks_issued", nacks_issued},
-              {"acex.adaptive.retransmits", sender.degradation().retransmits},
-              {"acex.adaptive.blocks", stream.blocks.size()}});
+  std::vector<qa::SeriesRow> rows = qa::fault_rows(wire.counters());
+  rows.push_back({"acex.adaptive.rx.nacks_issued", nacks_issued});
+  rows.push_back(
+      {"acex.adaptive.retransmits", sender.degradation().retransmits});
+  rows.push_back({"acex.adaptive.blocks", stream.blocks.size()});
+  check_rows(failures, before, rows);
   for (const obs::MetricPoint& point : snapshot.points) {
     if (point.kind != obs::MetricPoint::Kind::kHistogram) continue;
     if (point.hist.count == 0) continue;
@@ -658,7 +603,7 @@ int run(const Options& opt) {
               engine::resolve_worker_threads(opt.workers),
               static_cast<unsigned long long>(opt.seed));
   std::printf("recovered %zu/%zu blocks, %llu NACKs issued\n\n",
-              recovered.size(), stream.blocks.size(),
+              got.recovered.size(), stream.blocks.size(),
               static_cast<unsigned long long>(nacks_issued));
   std::fputs(obs::to_text(snapshot).c_str(), stdout);
 
