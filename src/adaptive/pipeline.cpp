@@ -493,55 +493,80 @@ BlockPlan AdaptiveSender::plan_block(ByteView block, ByteView next_block) {
     throw ConfigError("adaptive: block exceeds configured block_size");
   }
   // The sampler result for THIS block: the paper computes it during the
-  // previous block's send; we launch it there (async) and collect it here.
-  SampleResult sample;
-  if (auto pending = sampler_.wait()) {
-    sample = *pending;
-  } else {
-    sample = sampler_.sample(block);  // first block: no overlap available
-  }
+  // previous block's send; we launch it there (async) and collect it here,
+  // whether or not this plan reads it, so it cannot outlive its block.
+  // Without one, the plan samples inline if it reads the sample at all.
+  const std::optional<SampleResult> launched = sampler_.wait();
+  SampleSource sample = launched ? SampleSource(*launched)
+                                 : SampleSource(sampler_, block);
+  const BlockPlan plan = plan_from_sample(block, sample);
 
   // "Fork a sampling process to compress the first 4KB of the next block"
   // — overlapped with this block's compression and send, collected by the
-  // next plan_block's wait().
-  if (config_.async_sampling && !next_block.empty()) {
+  // next plan_block's wait(). Only after a plan that read its sample: a
+  // stream the rule keeps raw samples inline once it reaches the test.
+  if (sample.was_read() && config_.async_sampling && !next_block.empty()) {
     sampler_.launch(next_block);
   }
-  return plan_from_sample(block, sample);
+  return plan;
 }
 
 BlockPlan AdaptiveSender::plan_block_sampled(ByteView block,
-                                             const SampleResult& sample) {
+                                             SampleSource& sample) {
   if (block.size() > config_.decision.block_size) {
     throw ConfigError("adaptive: block exceeds configured block_size");
   }
   return plan_from_sample(block, sample);
 }
 
+BlockPlan AdaptiveSender::plan_block_sampled(ByteView block,
+                                             const SampleResult& sample) {
+  SampleSource taken(sample);
+  return plan_block_sampled(block, taken);
+}
+
 BlockPlan AdaptiveSender::plan_from_sample(ByteView block,
-                                           const SampleResult& sample) {
+                                           SampleSource& sample) {
   // The sequence is assigned at the end of planning; bind it late.
   obs::ScopedSpan span(obs::BlockTracer::global(), blocks_sent_,
                        obs::Stage::kPlan);
 
-  // Track the sampler's reducing speed. On the wall meter it is NOT
-  // comparable to block speeds in absolute terms (4 KiB compressions run
-  // much faster per byte than 128 KiB ones), so it feeds the drift
-  // correction in lz_reducing_speed_estimate() rather than the block-speed
-  // monitor.
-  const double sample_speed = config_.cpu_meter.reducing_speed(sample.work());
-  if (sample.sample_bytes > 0 && sample_speed > 0) {
-    sample_speed_.add(sample_speed);
-  }
-
   SelectionInputs inputs;
   const double bw =
       bandwidth_.estimate_or(config_.initial_bandwidth_Bps);
-  inputs.send_seconds = static_cast<double>(block.size()) / bw;
-  const double lz_speed = lz_reducing_speed_estimate(block.size());
-  inputs.lz_reduce_seconds =
-      lz_speed > 0 ? static_cast<double>(block.size()) / lz_speed : 0.0;
-  inputs.sampled_ratio_percent = sample.ratio_percent;
+  const auto block_bytes = static_cast<double>(block.size());
+  inputs.send_seconds = block_bytes / bw;
+  const auto lz_reduce_seconds = [&] {
+    const double lz_speed = lz_reducing_speed_estimate(block.size());
+    return lz_speed > 0 ? block_bytes / lz_speed : 0.0;
+  };
+  inputs.lz_reduce_seconds = lz_reduce_seconds();
+
+  // §2.5 reads the sample only once its first test passes (DESIGN.md §3),
+  // which it always does while there is no LZ speed yet (reduce time 0);
+  // the scored policies and the target-rate escalator read its ratio on
+  // every block. A plan that reads no sample folds nothing: the test has
+  // failed on the estimators as they stand, so decide() plans kNone and
+  // the sampled ratio stays 100.
+  const bool reads_sample =
+      config_.decision.policy != DecisionPolicy::kBandwidth ||
+      config_.target_rate_Bps > 0 ||
+      inputs.send_seconds > config_.decision.alpha * inputs.lz_reduce_seconds;
+  if (reads_sample) {
+    const SampleResult& taken = sample.read();
+    // Track the sampler's reducing speed. On the wall meter it is NOT
+    // comparable to block speeds in absolute terms (4 KiB compressions run
+    // much faster per byte than 128 KiB ones), so it feeds the drift
+    // correction in lz_reducing_speed_estimate() rather than the
+    // block-speed monitor.
+    const double sample_speed =
+        config_.cpu_meter.reducing_speed(taken.work());
+    if (taken.sample_bytes > 0 && sample_speed > 0) {
+      sample_speed_.add(sample_speed);
+    }
+    inputs.lz_reduce_seconds = lz_reduce_seconds();
+    inputs.sampled_ratio_percent = taken.ratio_percent;
+  }
 
   MethodId method;
   if (config_.decision.policy == DecisionPolicy::kBandwidth) {
@@ -549,7 +574,7 @@ BlockPlan AdaptiveSender::plan_from_sample(ByteView block,
     // the target-rate escalator exactly as before.
     method = decide(inputs, config_.decision);
     if (config_.target_rate_Bps > 0) {
-      method = apply_target_rate(method, bw, sample.ratio_percent);
+      method = apply_target_rate(method, bw, inputs.sampled_ratio_percent);
     }
   } else {
     // Scored policies consume absolute costs: per-rung (ratio, CPU)
@@ -559,7 +584,8 @@ BlockPlan AdaptiveSender::plan_from_sample(ByteView block,
     inputs.block_bytes = block.size();
     inputs.bandwidth_Bps = bw;
     inputs.target_rate_Bps = config_.target_rate_Bps;
-    inputs.estimates = estimate_ladder(block.size(), sample.ratio_percent);
+    inputs.estimates =
+        estimate_ladder(block.size(), inputs.sampled_ratio_percent);
     method = decide_policy(inputs, config_.decision);
   }
   decision_counter(config_.decision.policy).add(1);
@@ -574,7 +600,7 @@ BlockPlan AdaptiveSender::plan_from_sample(ByteView block,
   BlockPlan plan;
   plan.sequence = blocks_sent_++;
   plan.method = method;
-  plan.sampled_ratio_percent = sample.ratio_percent;
+  plan.sampled_ratio_percent = inputs.sampled_ratio_percent;
   plan.bandwidth_estimate_Bps = bw;
   span.set_block(plan.sequence);
   return plan;

@@ -114,6 +114,8 @@ struct AdaptiveConfig {
 struct BlockPlan {
   std::uint64_t sequence = 0;        ///< frame sequence (assigned serially)
   MethodId method = MethodId::kNone; ///< selector's choice for this block
+  /// The sampler's ratio for this block; 100 when the plan read no sample
+  /// (the §2.5 rule stopped at its first test).
   double sampled_ratio_percent = 100.0;
   double bandwidth_estimate_Bps = 0;
   /// False on the fixed-method baselines: no null-codec fallback, no
@@ -215,7 +217,8 @@ struct BlockReport {
   std::size_t wire_size = 0;       ///< framed bytes actually sent
   Seconds compress_seconds = 0;    ///< CPU time charged by the cpu_meter
   Seconds send_seconds = 0;        ///< end-to-end accept time of the frame
-  double sampled_ratio_percent = 100.0;  ///< sampler's view of this block
+  /// The sampler's view of this block; 100 when its plan read no sample.
+  double sampled_ratio_percent = 100.0;
   double bandwidth_estimate_Bps = 0;     ///< estimate used for the decision
 };
 
@@ -269,9 +272,10 @@ class AdaptiveSender {
   StreamReport send_all(ByteView data);
 
   /// Send exactly one block (at most block_size bytes). When `next_block`
-  /// is non-empty and async sampling is on, its 4 KiB prefix is sampled
-  /// concurrently with this block's send — the paper's fork/send/wait
-  /// ordering — and consumed by the next call's decision.
+  /// is non-empty, async sampling is on and this block's plan read a
+  /// sample, the next block's 4 KiB prefix is sampled concurrently with
+  /// this block's send — the paper's fork/send/wait ordering — and offered
+  /// to the next call's decision.
   BlockReport send_block(ByteView block, ByteView next_block = {});
 
   /// Send one block through a fixed method, bypassing the selector (the
@@ -308,8 +312,9 @@ class AdaptiveSender {
   // --- engine hooks ----------------------------------------------------
   // A block send is three steps, so the encode can run off-thread while
   // selection and transmission stay serial:
-  //   1. plan_block()   — sample, decide, assign the sequence (driver
-  //                       thread only; mutates estimator state);
+  //   1. plan_block()   — decide (sampling if the rule reads it), assign
+  //                       the sequence (driver thread only; mutates
+  //                       estimator state);
   //   2. encode_block() — free function, any thread, no shared state;
   //   3. finish_block() — bookkeeping + wire transmission (driver thread
   //                       only, called in strictly increasing sequence
@@ -318,9 +323,12 @@ class AdaptiveSender {
   // runs the encode step on its pool when it has one; the broker plans
   // with plan_block_sampled() and encodes once per method group.
 
-  /// Serial selector step: sample (collecting any pending async sample),
-  /// choose the method (§2.5 decision + target rate + circuit breaker),
-  /// launch sampling of `next_block`, and claim the next sequence number.
+  /// Serial selector step: choose the method (§2.5 decision + target rate
+  /// + circuit breaker) and claim the next sequence number. The block is
+  /// sampled only if the choice reads the sample (see plan_from_sample),
+  /// inline on first read; a pending async sample is collected either way
+  /// and dropped when unread. Sampling of `next_block` is launched only
+  /// when this plan read a sample.
   BlockPlan plan_block(ByteView block, ByteView next_block = {});
 
   /// Like plan_block() for a fixed-method baseline send: no sampling, no
@@ -328,11 +336,15 @@ class AdaptiveSender {
   BlockPlan plan_block_fixed(ByteView block, MethodId method);
 
   /// plan_block() with an externally supplied sample. The fan-out broker
-  /// samples each published block ONCE and shares the result across every
-  /// subscriber's plan — the sampled ratio is a property of the data, not
-  /// of any one link, so per-subscriber sampling would only burn CPU.
-  /// Feeds the same drift-tracking EWMA as plan_block(); never launches
-  /// the async sampler.
+  /// hands every subscriber of a chunk ONE source, which samples at most
+  /// once, on the first plan that reads it — the sampled ratio is a
+  /// property of the data, not of any one link, so per-subscriber sampling
+  /// would only burn CPU. Reads and folds exactly as plan_block() does;
+  /// never launches the async sampler.
+  BlockPlan plan_block_sampled(ByteView block, SampleSource& sample);
+
+  /// plan_block_sampled() with a sample already taken (the tests'
+  /// entry); the plan folds it only if it reads it.
   BlockPlan plan_block_sampled(ByteView block, const SampleResult& sample);
 
   /// Broker mode (AdaptiveConfig::external_bandwidth_feedback): report one
@@ -383,9 +395,13 @@ class AdaptiveSender {
   /// pool through a bounded reorder window, finish in sequence order.
   StreamReport send_stream(ByteView data, std::optional<MethodId> fixed);
 
-  /// Shared tail of plan_block()/plan_block_sampled(): fold the sample into
-  /// the estimators, run the selector, claim the sequence.
-  BlockPlan plan_from_sample(ByteView block, const SampleResult& sample);
+  /// Shared tail of plan_block()/plan_block_sampled(): run the selector
+  /// and claim the sequence. It reads `sample` (and folds its speed into
+  /// the drift EWMA) only when the plan will use it: the §2.5 first test
+  /// passes on the estimators as they stand (as it does while there is no
+  /// LZ speed yet), the policy is a scored one, or a target rate is set.
+  /// Otherwise it plans kNone without sampling.
+  BlockPlan plan_from_sample(ByteView block, SampleSource& sample);
 
   /// Demote a quarantined method down the ladder (circuit breaker open).
   MethodId apply_circuit_breaker(MethodId method) const noexcept;
@@ -419,8 +435,11 @@ class AdaptiveSender {
   /// ground truth; 4 KiB sampler timings run severalfold faster than block
   /// compressions (cache effects), so they are never mixed into the same
   /// average — instead the RATIO of the current sample speed to the sample
-  /// speed observed at the last LZ block tracks CPU-load drift while the
-  /// stream is not compressing.
+  /// speed observed at the last LZ block corrects for CPU-load drift. Only
+  /// plans that read a sample fold it, so while every plan stops at the
+  /// §2.5 first test the factor keeps its last value: a stream that sends
+  /// raw notices a faster CPU only once its link slows enough to reach
+  /// the test.
   double lz_reducing_speed_estimate(std::size_t block_size) const noexcept;
 
   transport::Transport* transport_;

@@ -3,10 +3,19 @@
 #include <algorithm>
 
 #include "compress/lz77.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace acex::adaptive {
 namespace {
+
+/// Counts the LZ probes of every sampler in the process: `acexctl stat`
+/// on a live acexd shows whether its loop still samples.
+void count_sample(ByteView prefix) {
+  static obs::Counter& samples =
+      obs::MetricsRegistry::global().counter("acex.adaptive.samples");
+  if (!prefix.empty()) samples.add(1);
+}
 
 SampleResult run_sample(ByteView prefix) {
   SampleResult result;
@@ -39,11 +48,14 @@ Sampler::Sampler(std::size_t prefix_size) : prefix_size_(prefix_size) {
 }
 
 SampleResult Sampler::sample(ByteView block) const {
-  return run_sample(block.subspan(0, std::min(prefix_size_, block.size())));
+  const auto prefix = block.subspan(0, std::min(prefix_size_, block.size()));
+  count_sample(prefix);
+  return run_sample(prefix);
 }
 
 void Sampler::launch(ByteView block) {
   const auto prefix = block.subspan(0, std::min(prefix_size_, block.size()));
+  count_sample(prefix);
   Bytes copy(prefix.begin(), prefix.end());
   future_ = std::async(std::launch::async, [copy = std::move(copy)] {
     return run_sample(copy);
@@ -53,6 +65,12 @@ void Sampler::launch(ByteView block) {
 std::optional<SampleResult> Sampler::wait() {
   if (!future_.valid()) return std::nullopt;
   return future_.get();
+}
+
+const SampleResult& SampleSource::read() {
+  if (!result_) result_ = sampler_->sample(block_);
+  read_ = true;
+  return *result_;
 }
 
 }  // namespace acex::adaptive

@@ -29,7 +29,9 @@ struct SampleResult {
 /// the paper — identical estimate, same overlap with sending when async
 /// (DESIGN.md §2). The runs are timed with CpuMeter::Timer, on the wall
 /// clock even when the surrounding experiment runs on virtual time; the
-/// reader's CpuMeter decides what that time is worth.
+/// reader's CpuMeter decides what that time is worth. Every sample of a
+/// non-empty block, inline or launched, adds one to the obs counter
+/// `acex.adaptive.samples`.
 class Sampler {
  public:
   /// `prefix_size`: how much of the block to sample (the paper's 4 KiB).
@@ -40,6 +42,7 @@ class Sampler {
 
   /// Launch sampling concurrently ("fork"); retrieve with wait().
   /// The data is copied, so the caller may reuse the block immediately.
+  /// Counted here, on the calling thread.
   void launch(ByteView block);
 
   /// Block until the launched sample completes ("Wait for child
@@ -53,6 +56,34 @@ class Sampler {
  private:
   std::size_t prefix_size_;
   std::future<SampleResult> future_;
+};
+
+/// One block's sample, taken at most once, on first read(). §2.5 reads the
+/// sample only once its first test passes, so a plan that stops there
+/// costs no LZ run. The fan-out broker hands one source to every
+/// subscriber that plans a chunk: a chunk they all send raw is never
+/// sampled, and one that any of them compresses is sampled once.
+/// Not thread-safe; the sampler and the block must outlive the source.
+class SampleSource {
+ public:
+  /// Samples `block` with `sampler` on first read.
+  SampleSource(const Sampler& sampler, ByteView block) noexcept
+      : sampler_(&sampler), block_(block) {}
+
+  /// A sample already taken: a collected launch, or one a test supplies.
+  explicit SampleSource(const SampleResult& taken) noexcept : result_(taken) {}
+
+  /// The sample, taken now if nothing has taken it yet.
+  const SampleResult& read();
+
+  /// Whether anything read the sample.
+  bool was_read() const noexcept { return read_; }
+
+ private:
+  const Sampler* sampler_ = nullptr;
+  ByteView block_;
+  std::optional<SampleResult> result_;
+  bool read_ = false;
 };
 
 }  // namespace acex::adaptive

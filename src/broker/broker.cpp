@@ -218,9 +218,10 @@ void FanoutBroker::publish_chunk(ByteView block,
                                  const std::vector<SubscriberPtr>& subs) {
   auto& metrics = broker_metrics();
 
-  // One sample per block, shared: the sampled ratio is a property of the
-  // data, not of any subscriber's link.
-  const adaptive::SampleResult sample = sampler_.sample(block);
+  // One sample per chunk, shared and taken on the first plan that reads
+  // it: the sampled ratio is a property of the data, not of any
+  // subscriber's link, and a chunk every subscriber sends raw needs none.
+  adaptive::SampleSource sample(sampler_, block);
 
   struct Planned {
     SubscriberPtr sub;

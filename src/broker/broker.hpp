@@ -80,8 +80,9 @@ struct BrokerConfig {
   std::size_t worker_threads = 1;
   /// Task-queue capacity of the encode pool; 0 = ThreadPool default.
   std::size_t queue_capacity = 0;
-  /// Shared sampler prefix (the paper's 4 KiB): each published block is
-  /// sampled ONCE and the result feeds every subscriber's plan.
+  /// Shared sampler prefix (the paper's 4 KiB): each published chunk is
+  /// sampled at most ONCE, on the first plan that reads the sample, and
+  /// the result feeds every subscriber's plan that reads it.
   std::size_t sample_prefix = 4 * 1024;
   /// Frame staging hook. When set, the broker builds each shared frame by
   /// calling this instead of frame_build_seq + heap copy — the shm
@@ -231,8 +232,9 @@ class FanoutBroker {
   std::size_t pump_locked_free(const SubscriberPtr& sub,
                                std::size_t max_frames);
   /// One publish pass over `subs` with a chunk every member's block_size
-  /// can carry: shared sample, per-subscriber plan, grouped encode, frame
-  /// + finish. The body of publish(), minus the re-chunking.
+  /// can carry: shared sample source (taken at most once), per-subscriber
+  /// plan, grouped encode, frame + finish. The body of publish(), minus
+  /// the re-chunking.
   void publish_chunk(ByteView block, const std::vector<SubscriberPtr>& subs);
 
   BrokerConfig config_;

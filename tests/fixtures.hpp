@@ -1,8 +1,9 @@
 #pragma once
 
 // Test doubles shared by the test binaries: simulated duplexes over
-// netsim::flat_link, frame sinks, misbehaving codecs and a recovered-frame
-// collector. Everything is inline so a binary pays only for what it uses.
+// netsim::flat_link, frame sinks, misbehaving codecs, a recovered-frame
+// collector and the sampler's obs counter. Everything is inline so a
+// binary pays only for what it uses.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "adaptive/pipeline.hpp"
 #include "compress/codec.hpp"
 #include "netsim/link.hpp"
+#include "obs/metrics.hpp"
 #include "transport/sim_transport.hpp"
 #include "transport/transport.hpp"
 #include "util/clock.hpp"
@@ -22,6 +24,14 @@
 namespace acex {
 
 using netsim::flat_link;
+
+/// LZ probes every adaptive::Sampler in the process has taken so far
+/// (`acex.adaptive.samples`); tests compare deltas of it.
+inline std::uint64_t samples_taken() {
+  return obs::MetricsRegistry::global()
+      .counter("acex.adaptive.samples")
+      .value();
+}
 
 /// One emulated duplex on its own virtual clock: `bps` forward, 1 GB/s
 /// back.

@@ -74,13 +74,58 @@ TEST(BrokerGroups, HeterogeneousLinksFormMethodGroups) {
   broker.subscribe(slow1.duplex.a(), slow_cfg);
   broker.subscribe(slow2.duplex.a(), slow_cfg);
 
+  const std::uint64_t samples_before = samples_taken();
   broker.publish(compressible_block(16 * 1024, 9));
+  // The slow pair reads the sample: taken once, for all four plans.
+  EXPECT_EQ(samples_taken() - samples_before, 1u);
 
   const BrokerStats stats = broker.stats();
   // Two distinct method choices -> two groups -> two encodes, two hits.
   EXPECT_EQ(stats.last_groups, 2u);
   EXPECT_EQ(stats.encodes, 2u);
   EXPECT_EQ(stats.cache_hits, 2u);
+}
+
+// ------------------------------------------------------------- sampling
+
+TEST(BrokerSampling, RawFleetSamplesNothingOnceLinksAreMeasured) {
+  // Sixteen subscribers behind fast links, charged on Fig. 4's model so
+  // their plans do not depend on this host. The first chunk meets no LZ
+  // speed to test against, so the fleet samples it, once. Once the pump
+  // has measured the links, the §2.5 first test fails for everyone: no
+  // plan reads a sample, none is taken, and every frame goes raw.
+  VirtualClock clock;
+  constexpr std::size_t kSubs = 16;
+  constexpr int kBlocks = 40;
+  std::vector<std::unique_ptr<SimEndpoint>> endpoints;
+  FanoutBroker broker;
+  SubscriberConfig config;
+  config.adaptive.cpu_meter = adaptive::CpuMeter::paper_model();
+  for (std::size_t i = 0; i < kSubs; ++i) {
+    endpoints.push_back(std::make_unique<SimEndpoint>(clock, 1e9, 20 + i));
+    broker.subscribe(endpoints.back()->duplex.a(), config);
+  }
+
+  for (int i = 0; i < kBlocks; ++i) {
+    const std::uint64_t samples_before = samples_taken();
+    broker.publish(compressible_block(16 * 1024, 200 + i));
+    broker.pump_all();
+    EXPECT_EQ(samples_taken() - samples_before, i == 0 ? 1u : 0u)
+        << "block " << i;
+  }
+
+  std::vector<std::vector<Bytes>> wires(kSubs);
+  for (std::size_t s = 0; s < kSubs; ++s) {
+    while (auto frame = endpoints[s]->duplex.b().receive()) {
+      wires[s].push_back(std::move(*frame));
+    }
+    ASSERT_EQ(wires[s].size(), static_cast<std::size_t>(kBlocks));
+  }
+  for (std::size_t s = 1; s < kSubs; ++s) EXPECT_EQ(wires[s], wires[0]);
+  for (int i = 1; i < kBlocks; ++i) {
+    EXPECT_EQ(frame_parse(ByteView(wires[0][i])).method, MethodId::kNone)
+        << "block " << i;
+  }
 }
 
 // --------------------------------------------- shared-encode byte identity

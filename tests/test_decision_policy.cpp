@@ -380,32 +380,55 @@ TEST(DecisionPolicyPaths, SerialAndParallelPickIdenticalMethods) {
 }
 
 TEST(DecisionPolicyPaths, SharedSamplePlansMatchInlinePlans) {
-  // The broker path: one sample shared across subscribers via
+  // The broker path: one sample source shared across subscribers via
   // plan_block_sampled must produce the same decision the inline
-  // plan_block path makes from its own identical sample.
+  // plan_block path makes from its own identical sample, block by block —
+  // what keeps a broker subscriber byte-identical to a private sender.
+  // Both senders charge Fig. 4's model, so neither folds its own wall
+  // timing of its sample. On the fast link the kBandwidth paths read no
+  // sample after the first block; the scored policies read every one.
   workloads::TransactionGenerator gen(13);
   const Bytes data = gen.text_block(16 * 4096);
   const Sampler sampler(1024);
-  for (const DecisionPolicy policy : all_policies()) {
-    SimWire wire_a(1e6), wire_b(1e6);
-    AdaptiveSender inline_sender(wire_a.duplex.a(), policy_config(policy, 1));
-    AdaptiveSender shared_sender(wire_b.duplex.a(), policy_config(policy, 1));
-    for (std::size_t off = 0; off < data.size(); off += 4096) {
-      const ByteView block = ByteView(data).subspan(off, 4096);
-      const BlockPlan inline_plan = inline_sender.plan_block(block);
-      const BlockPlan shared_plan =
-          shared_sender.plan_block_sampled(block, sampler.sample(block));
-      EXPECT_EQ(inline_plan.method, shared_plan.method)
-          << "policy " << policy_name(policy) << " block " << off / 4096;
-      // Keep both senders' estimator state in lockstep.
-      inline_sender.finish_block(
-          inline_plan, block.size(),
-          encode_block(inline_sender.registry(), block, inline_plan.method,
-                       inline_plan.sequence, 64, true));
-      shared_sender.finish_block(
-          shared_plan, block.size(),
-          encode_block(shared_sender.registry(), block, shared_plan.method,
-                       shared_plan.sequence, 64, true));
+  for (const double link_Bps : {1e6, 1e9}) {
+    for (const DecisionPolicy policy : all_policies()) {
+      AdaptiveConfig config = policy_config(policy, 1);
+      config.cpu_meter = CpuMeter::paper_model();
+      SimWire wire_a(link_Bps), wire_b(link_Bps);
+      AdaptiveSender inline_sender(wire_a.duplex.a(), config);
+      AdaptiveSender shared_sender(wire_b.duplex.a(), config);
+      for (std::size_t off = 0; off < data.size(); off += 4096) {
+        const ByteView block = ByteView(data).subspan(off, 4096);
+        const std::uint64_t samples_before = samples_taken();
+        const BlockPlan inline_plan = inline_sender.plan_block(block);
+        const bool inline_read = samples_taken() != samples_before;
+        SampleSource shared(sampler, block);
+        const BlockPlan shared_plan =
+            shared_sender.plan_block_sampled(block, shared);
+        const std::string where = "policy " +
+                                  std::string(policy_name(policy)) +
+                                  " link " + std::to_string(link_Bps) +
+                                  " block " + std::to_string(off / 4096);
+        EXPECT_EQ(inline_plan.method, shared_plan.method) << where;
+        EXPECT_EQ(inline_plan.sampled_ratio_percent,
+                  shared_plan.sampled_ratio_percent)
+            << where;
+        EXPECT_EQ(inline_read, shared.was_read()) << where;
+        if (link_Bps > 1e6 && policy == DecisionPolicy::kBandwidth &&
+            off > 0) {
+          EXPECT_FALSE(shared.was_read()) << where;
+          EXPECT_EQ(shared_plan.method, MethodId::kNone) << where;
+        }
+        // Keep both senders' estimator state in lockstep.
+        inline_sender.finish_block(
+            inline_plan, block.size(),
+            encode_block(inline_sender.registry(), block, inline_plan.method,
+                         inline_plan.sequence, 64, true));
+        shared_sender.finish_block(
+            shared_plan, block.size(),
+            encode_block(shared_sender.registry(), block, shared_plan.method,
+                         shared_plan.sequence, 64, true));
+      }
     }
   }
 }

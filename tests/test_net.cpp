@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "broker/broker.hpp"
+#include "fixtures.hpp"
 #include "net/client.hpp"
 #include "net/daemon.hpp"
 #include "net/demo_stream.hpp"
@@ -913,6 +914,48 @@ TEST(NetDaemon, PollBackendServesClientsToo) {
   ASSERT_TRUE(client.poll_until(expected.size(), 10000));
   EXPECT_EQ(client.stream(), expected);
   client.bye();
+  daemon.stop();
+}
+
+TEST(NetDaemon, RawFleetStopsSamplingAfterWarmup) {
+  // acexbench's daemon-tcp-4 fleet over loopback. A daemon connection
+  // accepts a frame in microseconds, so once the warm-up has measured the
+  // links every subscriber sends raw: the §2.5 first test fails, no plan
+  // reads a sample, and the loop thread takes none.
+  Daemon daemon(quick_daemon_config());
+  daemon.start();
+  const std::vector<std::vector<MethodId>> offers = {
+      {MethodId::kHuffman, MethodId::kNone},
+      {MethodId::kLempelZiv, MethodId::kNone},
+      {MethodId::kLzw, MethodId::kNone},
+      {MethodId::kNone},
+  };
+  std::vector<std::unique_ptr<DaemonClient>> clients;
+  for (std::size_t i = 0; i < offers.size(); ++i) {
+    DaemonClientConfig cfg;
+    cfg.offer.methods = offers[i];
+    cfg.offer.block_size = static_cast<std::uint32_t>(8 * 1024 * (i + 1));
+    clients.push_back(std::make_unique<DaemonClient>(daemon.port(), cfg));
+  }
+
+  // One block at a time, each delivered before the next: a burst of a
+  // hundred would overflow the small clients' egress.
+  constexpr std::size_t kBlockBytes = 16 * 1024;
+  std::uint32_t published = 0;
+  const auto publish_and_deliver = [&](std::uint32_t blocks) {
+    for (std::uint32_t i = 0; i < blocks; ++i) {
+      daemon.publish(demo_block(5, published++, kBlockBytes));
+      for (auto& client : clients) {
+        ASSERT_TRUE(client->poll_until(published * kBlockBytes, 15000));
+      }
+    }
+  };
+  publish_and_deliver(20);
+  const std::uint64_t samples_before = samples_taken();
+  publish_and_deliver(100);
+  EXPECT_EQ(samples_taken() - samples_before, 0u);
+
+  for (auto& client : clients) client->bye();
   daemon.stop();
 }
 

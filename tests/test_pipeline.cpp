@@ -63,6 +63,7 @@ TEST_F(PipelineTest, FastLinkStopsCompressing) {
   AdaptiveSender sender(duplex_->a(), config);
   workloads::TransactionGenerator gen(3);
   const Bytes data = gen.text_block(1024 * 1024);
+  const std::uint64_t samples_before = samples_taken();
   const StreamReport report = sender.send_all(data);
 
   std::size_t uncompressed = 0;
@@ -71,6 +72,9 @@ TEST_F(PipelineTest, FastLinkStopsCompressing) {
   }
   // All but (possibly) the very first warm-up block should pass through.
   EXPECT_GE(uncompressed, report.blocks.size() - 1);
+  // The first block samples for want of an LZ speed; after it the §2.5
+  // first test fails and reads no sample.
+  EXPECT_LE(samples_taken() - samples_before, 1u);
 }
 
 TEST_F(PipelineTest, IncompressibleDataPrefersHuffmanOrNone) {

@@ -254,6 +254,18 @@ int run_broker_demo(const Options& opt) {
                        broker.retransmit(sub->id, nacks);
                        pump_and_drain();
                      });
+    // A lost last frame is never a gap, because nothing follows it: on the
+    // healed wire, replay whatever the receiver has not reached.
+    sub->wire->heal();
+    std::vector<std::uint64_t> tail;
+    for (std::uint64_t seq = sub->rx->next_expected();
+         seq < ledger.published(); ++seq) {
+      tail.push_back(seq);
+    }
+    if (!tail.empty()) {
+      broker.retransmit(sub->id, tail);
+      pump_and_drain();
+    }
   }
 
   // Obs rows: every broker series equals the broker's own bookkeeping, and
