@@ -37,8 +37,8 @@ bool verify(const bench::CaptureTransport& transport, ByteView original,
   std::uint64_t expected = 0;
   for (const Bytes& framed : transport.frames()) {
     const Frame frame = frame_parse(framed);
-    if (!frame.has_sequence || frame.sequence != expected++) return false;
-    const Bytes block = frame_decompress(framed, registry);
+    if (frame.sequence != expected++) return false;
+    const Bytes block = frame_decode(frame, registry);
     if (block.size() > block_size) return false;
     decoded.insert(decoded.end(), block.begin(), block.end());
   }

@@ -36,11 +36,12 @@ int main() {
   }
 
   // ----- 2. frames -------------------------------------------------------
-  // A frame names its codec and carries a CRC of the original bytes, so a
-  // receiver needs nothing but the registry to decode it.
+  // A frame names its codec, carries a stream sequence number and a CRC of
+  // the original bytes, so a receiver needs nothing but the registry to
+  // decode it.
   const CodecRegistry registry = CodecRegistry::with_builtins();
   CodecPtr lz = make_codec(MethodId::kLempelZiv);
-  const Bytes framed = frame_compress(*lz, data);
+  const Bytes framed = frame_compress_seq(*lz, data, /*sequence=*/0);
   const Bytes back = frame_decompress(framed, registry);
   std::printf("\nframed round-trip: %zu -> %zu -> %zu bytes, intact=%s\n",
               data.size(), framed.size(), back.size(),

@@ -1,22 +1,16 @@
 #include "adaptive/echo_integration.hpp"
 
 #include <atomic>
+#include <exception>
 
+#include "adaptive/pipeline.hpp"
 #include "util/error.hpp"
 
 namespace acex::adaptive {
 
 echo::EventHandler make_compression_handler(MethodId method) {
-  auto registry = std::make_shared<CodecRegistry>(CodecRegistry::with_builtins());
-  return [method, registry](echo::Event event) -> std::optional<echo::Event> {
-    const CodecPtr codec = registry->create(method);
-    const std::size_t original = event.payload.size();
-    event.attributes.set_int(kOriginalSizeAttr,
-                             static_cast<std::int64_t>(original));
-    event.attributes.set_int(kMethodAttr, static_cast<std::int64_t>(method));
-    event.payload = frame_compress(*codec, event.payload);
-    return event;
-  };
+  // The handler shares the compressor's state, not the compressor itself.
+  return SwitchableCompressor(method).handler();
 }
 
 echo::EventHandler make_decompression_handler() {
@@ -46,12 +40,21 @@ void SwitchableCompressor::set_method(MethodId method) {
 echo::EventHandler SwitchableCompressor::handler() {
   auto state = state_;
   return [state](echo::Event event) -> std::optional<echo::Event> {
+    // The sender's one encoder, without its silent null-codec fallback:
+    // the frame names the method the consumer asked for, or the bus sees
+    // the codec's error. The event count is the frame sequence.
     const MethodId method = state->method;
-    const CodecPtr codec = state->registry.create(method);
+    const std::uint64_t sequence = state->events;
+    PayloadEncode encoded =
+        encode_payload(state->registry, event.payload, method,
+                       /*expansion_slack_bytes=*/0, /*allow_degrade=*/false,
+                       sequence);
+    if (encoded.failure) std::rethrow_exception(encoded.failure);
     event.attributes.set_int(kOriginalSizeAttr,
                              static_cast<std::int64_t>(event.payload.size()));
     event.attributes.set_int(kMethodAttr, static_cast<std::int64_t>(method));
-    event.payload = frame_compress(*codec, event.payload);
+    event.payload = frame_build_seq(method, encoded.payload, encoded.crc,
+                                    sequence);
     ++state->events;
     return event;
   };

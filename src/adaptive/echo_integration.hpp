@@ -21,8 +21,9 @@ inline constexpr const char* kOriginalSizeAttr = "acex.original_size";
 
 /// A fixed-method compression handler (§3.2: "compression methods are
 /// integrated into ECho as event handlers"). Each event's payload is
-/// replaced by a self-describing frame; attributes gain kMethodAttr and
-/// kOriginalSizeAttr.
+/// replaced by a self-describing frame whose sequence is the handler's
+/// event count; attributes gain kMethodAttr and kOriginalSizeAttr. A codec
+/// failure propagates to the bus: the handler never degrades silently.
 echo::EventHandler make_compression_handler(MethodId method);
 
 /// The inverse handler for consumer-side decompression. Frames name their
@@ -40,9 +41,10 @@ class SwitchableCompressor {
   MethodId method() const noexcept { return method_; }
   void set_method(MethodId method);
 
-  /// The data-path handler to install (e.g. via EventBus::derive_channel).
-  /// The returned handler shares this object's state; the compressor must
-  /// outlive it.
+  /// The data-path handler to install (e.g. via EventBus::derive_channel),
+  /// framing as make_compression_handler() does with whichever method is
+  /// current. The returned handler shares this object's method and event
+  /// count, and stays valid after the compressor is destroyed.
   echo::EventHandler handler();
 
   /// The control-path hook: reads kMethodAttr out of consumer signals.

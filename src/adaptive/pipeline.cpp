@@ -13,11 +13,6 @@
 namespace acex::adaptive {
 namespace {
 
-// Escalation ladder, weakest to strongest — the selector's shared
-// kDecisionLadder (decision.hpp), reused by the target-rate escalator and
-// the circuit breaker's demotion walk.
-constexpr const std::array<MethodId, 4>& kLadder = kDecisionLadder;
-
 // ---- observability (DESIGN.md §9) ------------------------------------
 // Instrument handles are resolved once and cached; every record after
 // that is lock-free. Series are process-wide: concurrent senders feed the
@@ -210,14 +205,13 @@ AdaptiveSender::AdaptiveSender(transport::Transport& transport,
 
 MethodId AdaptiveSender::apply_circuit_breaker(
     MethodId method) const noexcept {
-  std::size_t rung = 0;
-  while (rung < std::size(kLadder) && kLadder[rung] != method) ++rung;
-  if (rung == std::size(kLadder)) return method;  // not on the ladder
+  std::size_t rung = decision_ladder_rung(method);
+  if (rung == kDecisionLadder.size()) return method;  // not on the ladder
 
   // Walk down to the strongest method whose breaker is closed; kNone can
   // never fail, so the walk always terminates on a usable rung.
   for (;; --rung) {
-    const MethodId candidate = kLadder[rung];
+    const MethodId candidate = kDecisionLadder[rung];
     const auto it = health_.find(candidate);
     if (it == health_.end() || blocks_sent_ >= it->second.quarantined_until) {
       return candidate;
@@ -386,18 +380,17 @@ MethodId AdaptiveSender::apply_target_rate(
   // justifies picking something weaker than what the §2.5 algorithm
   // already considered worthwhile.
   const double lz_ratio = sampled_ratio_percent / 100.0;
-  std::size_t rung = 0;
-  while (rung < std::size(kLadder) && kLadder[rung] != base) ++rung;
-  if (rung == std::size(kLadder)) return base;  // not on the ladder
+  std::size_t rung = decision_ladder_rung(base);
+  if (rung == kDecisionLadder.size()) return base;  // not on the ladder
 
   // Effective payload rate = link rate / wire ratio. Climb until it meets
   // the target or the ladder tops out.
-  while (rung + 1 < std::size(kLadder) &&
-         bandwidth_Bps / expected_ratio(kLadder[rung], lz_ratio) <
+  while (rung + 1 < kDecisionLadder.size() &&
+         bandwidth_Bps / expected_ratio(kDecisionLadder[rung], lz_ratio) <
              config_.target_rate_Bps) {
     ++rung;
   }
-  return kLadder[rung];
+  return kDecisionLadder[rung];
 }
 
 double AdaptiveSender::expected_ratio(MethodId method,
@@ -729,26 +722,25 @@ ReceiveReport AdaptiveReceiver::receive_report() {
     try {
       const Frame frame = frame_parse(*message);
       outcome.method = frame.method;
-      if (frame.has_sequence && !tracker_.plausible(frame.sequence)) {
+      if (!tracker_.plausible(frame.sequence)) {
         // The 1-byte header checksum is weak: a corrupt sequence varint can
         // slip through and must not reach gap tracking.
         metrics.seq_rejected.add(1);
         throw DecodeError("frame: sequence implausibly far ahead");
       }
       outcome.sequence = frame.sequence;
-      outcome.has_sequence = frame.has_sequence;
-      if (frame.has_sequence) tracker_.saw(frame.sequence);
-      if (frame.has_sequence && tracker_.duplicate(frame.sequence)) {
+      outcome.has_sequence = true;
+      tracker_.saw(frame.sequence);
+      if (tracker_.duplicate(frame.sequence)) {
         outcome.status = FrameOutcome::Status::kDuplicate;
       } else {
-        const obs::ScopedSpan span(
-            tracer, frame.has_sequence ? frame.sequence : 0,
-            obs::Stage::kDecode);
+        const obs::ScopedSpan span(tracer, frame.sequence,
+                                   obs::Stage::kDecode);
         const CpuMeter::Timer decode_cpu;
         outcome.data = frame_decode(frame, registry_);
         metrics.decode_us.for_method(frame.method)
             .record(decode_cpu.elapsed() * 1e6);
-        if (frame.has_sequence) tracker_.deliver(frame.sequence);
+        tracker_.deliver(frame.sequence);
         outcome.status = FrameOutcome::Status::kOk;
       }
     } catch (const Error& error) {
@@ -764,19 +756,15 @@ ReceiveReport AdaptiveReceiver::receive_report() {
     report.frames.push_back(std::move(outcome));
   }
 
-  // Reassemble the intact payloads of THIS drain. Frames carrying sequence
-  // numbers (v2) are ordered by sequence so a reordered wire still yields
-  // the original byte stream; legacy v1 frames have only arrival order to
-  // offer. Blocks recovered by later NACK rounds land in later drains —
-  // cross-drain reassembly is the caller's job, keyed by
-  // FrameOutcome::sequence.
+  // Reassemble the intact payloads of THIS drain in sequence order, so a
+  // reordered wire still yields the original byte stream. Blocks recovered
+  // by later NACK rounds land in later drains — cross-drain reassembly is
+  // the caller's job, keyed by FrameOutcome::sequence.
   std::vector<const FrameOutcome*> intact;
-  bool all_sequenced = true;
   for (const FrameOutcome& outcome : report.frames) {
     switch (outcome.status) {
       case FrameOutcome::Status::kOk:
         intact.push_back(&outcome);
-        all_sequenced = all_sequenced && outcome.has_sequence;
         break;
       case FrameOutcome::Status::kCorrupt:
         ++report.frames_corrupt;
@@ -786,12 +774,10 @@ ReceiveReport AdaptiveReceiver::receive_report() {
         break;
     }
   }
-  if (all_sequenced) {
-    std::sort(intact.begin(), intact.end(),
-              [](const FrameOutcome* a, const FrameOutcome* b) {
-                return a->sequence < b->sequence;
-              });
-  }
+  std::sort(intact.begin(), intact.end(),
+            [](const FrameOutcome* a, const FrameOutcome* b) {
+              return a->sequence < b->sequence;
+            });
   for (const FrameOutcome* outcome : intact) {
     const obs::ScopedSpan span(tracer, outcome->sequence,
                                obs::Stage::kDeliver);

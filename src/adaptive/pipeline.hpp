@@ -185,7 +185,7 @@ PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
                              bool allow_degrade = true,
                              std::uint64_t trace_block = 0);
 
-/// encode_payload() wrapped in a v2 frame carrying `sequence`: the
+/// encode_payload() wrapped in a frame carrying `sequence`: the
 /// per-block encode step of AdaptiveSender, run inline or on a pool
 /// worker. Same thread-safety and degradation contract as
 /// encode_payload(); `framed` stays empty when `failure` is set.
@@ -502,7 +502,10 @@ struct FrameOutcome {
   Status status = Status::kOk;
   MethodId method = MethodId::kNone;
   std::uint64_t sequence = 0;
-  bool has_sequence = false;   ///< v2 frame whose header survived parsing
+  /// The header parsed and its sequence was plausible, so `sequence` is
+  /// meaningful. Always true for kOk and kDuplicate; true for kCorrupt only
+  /// when the damage lay behind the header.
+  bool has_sequence = false;
   std::size_t wire_size = 0;   ///< bytes as received off the transport
   Bytes data;                  ///< decoded payload (kOk only)
   std::string error;           ///< decode failure message (kCorrupt only)
@@ -511,9 +514,8 @@ struct FrameOutcome {
 /// Everything one receive_report() drain learned, for callers that need
 /// more than the happy-path byte stream.
 struct ReceiveReport {
-  /// Intact payloads of this drain, reassembled in sequence order (v2) or
-  /// arrival order (v1 frames carry no sequence). The ordering holds
-  /// WITHIN one drain only: under kNack, retransmitted blocks surface in
+  /// Intact payloads of this drain, reassembled in sequence order. The
+  /// ordering holds WITHIN one drain only: under kNack, retransmitted blocks surface in
   /// later drains, so concatenating `data` across drains interleaves
   /// out-of-order bytes — cross-drain reassembly must key blocks by
   /// FrameOutcome::sequence instead.
@@ -594,7 +596,7 @@ class AdaptiveReceiver {
   std::size_t frames_corrupt_ = 0;
   std::size_t frames_duplicate_ = 0;
   std::uint64_t bytes_recovered_ = 0;
-  transport::SequenceTracker tracker_;  ///< v2 frame sequences
+  transport::SequenceTracker tracker_;  ///< frame sequences
 };
 
 }  // namespace acex::adaptive

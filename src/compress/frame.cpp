@@ -12,42 +12,16 @@ namespace {
 constexpr std::uint8_t kMagic0 = 'A';
 constexpr std::uint8_t kMagic1 = 'X';
 
-// Minimum well-formed sizes: v1 is magic(2)+version(1)+method(1)+
-// varint size(>=1)+crc(4) = 9; v2 adds varint sequence(>=1) and the
-// header checksum byte = 11.
-constexpr std::size_t kMinFrameV1 = 9;
-constexpr std::size_t kMinFrameV2 = 11;
-
-// XOR checksum of the v2 header bytes [0, end). Seeded with a non-zero
-// constant so an all-zero header does not trivially checksum to zero.
-std::uint8_t header_checksum(ByteView framed, std::size_t end) noexcept {
-  std::uint8_t sum = 0x5A;
-  for (std::size_t i = 0; i < end; ++i) sum ^= framed[i];
-  return sum;
-}
-
-void append_crc(Bytes& out, std::uint32_t crc) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
-}
+// Minimum well-formed size: magic(2) + version(1) + method(1) + varint
+// sequence(>=1) + varint size(>=1) + header checksum(1) + crc(4).
+constexpr std::size_t kMinFrame = 11;
 
 }  // namespace
 
-Bytes frame_compress(Codec& codec, ByteView data) {
-  const std::uint32_t crc = crc32(data);
-  const Bytes payload = codec.compress(data);
-
-  Bytes out;
-  out.reserve(payload.size() + 16);
-  out.push_back(kMagic0);
-  out.push_back(kMagic1);
-  out.push_back(kFrameVersion);
-  out.push_back(static_cast<std::uint8_t>(codec.id()));
-  put_varint(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  append_crc(out, crc);
-  return out;
+std::uint8_t frame_header_checksum(ByteView header) noexcept {
+  std::uint8_t sum = 0x5A;
+  for (const std::uint8_t byte : header) sum ^= byte;
+  return sum;
 }
 
 Bytes frame_compress_seq(Codec& codec, ByteView data, std::uint64_t sequence) {
@@ -66,7 +40,7 @@ Bytes frame_build_seq(MethodId method, ByteView payload,
 std::size_t frame_build_seq_into(std::uint8_t* dst, MethodId method,
                                  ByteView payload, std::uint32_t original_crc,
                                  std::uint64_t sequence) {
-  // The one v2 header writer. The header is tiny (<= 25 bytes); building it
+  // The one header writer. The header is tiny (<= 25 bytes); building it
   // in a scratch vector and writing payload + trailer straight into `dst`
   // makes only ONE pass over the payload — the copy into the destination
   // (a heap frame, or a shared-memory slab on the shm path).
@@ -78,8 +52,7 @@ std::size_t frame_build_seq_into(std::uint8_t* dst, MethodId method,
   head.push_back(static_cast<std::uint8_t>(method));
   put_varint(head, sequence);
   put_varint(head, payload.size());
-  head.push_back(header_checksum(ByteView(head.data(), head.size()),
-                                 head.size()));
+  head.push_back(frame_header_checksum(head));
   std::copy(head.begin(), head.end(), dst);
   std::copy(payload.begin(), payload.end(), dst + head.size());
   std::uint8_t* trailer = dst + head.size() + payload.size();
@@ -95,35 +68,25 @@ namespace {
 /// frame's payload BORROWS `framed`; each public overload fixes the
 /// lifetime up to its own contract (copy vs shared alias).
 Frame frame_parse_borrowed(ByteView framed) {
-  if (framed.size() < kMinFrameV1) throw DecodeError("frame: too short");
+  if (framed.size() < kMinFrame) throw DecodeError("frame: too short");
   if (framed[0] != kMagic0 || framed[1] != kMagic1) {
     throw DecodeError("frame: bad magic");
   }
+  if (framed[2] != kFrameVersionSeq) throw DecodeError("frame: bad version");
 
   Frame frame;
-  frame.version = framed[2];
   frame.method = static_cast<MethodId>(framed[3]);
   std::size_t pos = 4;
-
-  if (frame.version == kFrameVersionSeq) {
-    if (framed.size() < kMinFrameV2) throw DecodeError("frame: too short");
-    frame.sequence = get_varint(framed, &pos);
-    frame.has_sequence = true;
-  } else if (frame.version != kFrameVersion) {
-    throw DecodeError("frame: bad version");
-  }
-
+  frame.sequence = get_varint(framed, &pos);
   const std::uint64_t payload_size = get_varint(framed, &pos);
 
-  if (frame.version == kFrameVersionSeq) {
-    // Validate the header before trusting any of it: a flipped bit in the
-    // sequence or size varints must not send us off into the payload.
-    if (pos >= framed.size()) throw DecodeError("frame: too short");
-    if (framed[pos] != header_checksum(framed, pos)) {
-      throw DecodeError("frame: header checksum mismatch");
-    }
-    ++pos;
+  // Validate the header before trusting any of it: a flipped bit in the
+  // sequence or size varints must not send us off into the payload.
+  if (pos >= framed.size()) throw DecodeError("frame: too short");
+  if (framed[pos] != frame_header_checksum(framed.first(pos))) {
+    throw DecodeError("frame: header checksum mismatch");
   }
+  ++pos;
 
   // Overflow-safe size check: get_varint guarantees pos <= framed.size(),
   // so `remaining` cannot wrap — unlike `pos + payload_size + 4`, which an
@@ -178,10 +141,6 @@ Bytes frame_decode(const Frame& frame, const CodecRegistry& registry) {
 
 Bytes frame_decompress(ByteView framed, const CodecRegistry& registry) {
   return frame_decode(frame_parse(framed), registry);
-}
-
-std::size_t frame_overhead(std::size_t payload_size) noexcept {
-  return 2 + 1 + 1 + varint_size(payload_size) + 4;
 }
 
 std::size_t frame_overhead_seq(std::size_t payload_size,

@@ -11,28 +11,20 @@ namespace acex {
 /// Self-describing wire envelope around a codec payload. A receiver can
 /// decode any frame knowing only the registry — the frame carries the
 /// method id — and detects corruption anywhere along the path via a CRC of
-/// the *original* (decompressed) bytes.
+/// the *original* (decompressed) bytes. There is one layout (version 2):
 ///
-/// Two layouts exist on the wire:
+///   magic "AX" | version=2 (1) | method id (1) | varint sequence |
+///   varint payload size | header checksum (1) | payload |
+///   crc32 of original data, LE (4)
 ///
-///   v1:  magic "AX" | version=1 (1) | method id (1) |
-///        varint payload size | payload | crc32 of original data, LE (4)
-///
-///   v2:  magic "AX" | version=2 (1) | method id (1) | varint sequence |
-///        varint payload size | header checksum (1) | payload |
-///        crc32 of original data, LE (4)
-///
-/// v2 adds a per-stream sequence number — making drops, duplicates and
-/// reorders detectable by the receiver — and a 1-byte XOR checksum over
-/// every header byte before it, so a corrupted header is rejected before
-/// any decoder runs (and before a damaged varint size can misdirect
-/// parsing). frame_parse() accepts both versions; v1 frames produced by
-/// older senders decode unchanged.
-inline constexpr std::uint8_t kFrameVersion = 1;
+/// The per-stream sequence number makes drops, duplicates and reorders
+/// detectable by the receiver. The 1-byte header checksum covers every
+/// header byte before it, so a corrupted header is rejected before any
+/// decoder runs (and before a damaged varint size can misdirect parsing).
+/// Any other version byte is `frame: bad version`.
 inline constexpr std::uint8_t kFrameVersionSeq = 2;
 
 struct Frame {
-  std::uint8_t version = kFrameVersion;
   MethodId method = MethodId::kNone;
   /// Codec output (compressed bytes). A span-with-owner: frame_parse over
   /// a plain ByteView copies (the historical contract — the Frame outlives
@@ -41,18 +33,20 @@ struct Frame {
   /// shared-memory slab is decoded with zero payload copies.
   BufferView payload;
   std::uint32_t crc = 0;       ///< CRC-32 of the original data
-  std::uint64_t sequence = 0;  ///< v2 stream sequence number
-  bool has_sequence = false;   ///< true iff the frame was v2
+  std::uint64_t sequence = 0;  ///< stream sequence number
 };
 
-/// Compress `data` with `codec` and wrap the result in a v1 frame.
-Bytes frame_compress(Codec& codec, ByteView data);
+/// The header checksum: XOR of `header` (every header byte before the
+/// checksum byte), seeded with 0x5A so an all-zero header does not
+/// trivially checksum to zero. The one copy every frame writer, the parser
+/// and the fuzz mutator share.
+std::uint8_t frame_header_checksum(ByteView header) noexcept;
 
-/// Compress `data` with `codec` and wrap the result in a v2 frame carrying
+/// Compress `data` with `codec` and wrap the result in a frame carrying
 /// `sequence`.
 Bytes frame_compress_seq(Codec& codec, ByteView data, std::uint64_t sequence);
 
-/// Wrap an ALREADY-COMPRESSED payload in a v2 frame. `original_crc` must be
+/// Wrap an ALREADY-COMPRESSED payload in a frame. `original_crc` must be
 /// the CRC-32 of the original (uncompressed) data, exactly as
 /// frame_compress_seq would compute it. This is the shared-encode
 /// primitive: one codec run can be framed once per subscriber, each with
@@ -70,7 +64,7 @@ std::size_t frame_build_seq_into(std::uint8_t* dst, MethodId method,
                                  ByteView payload, std::uint32_t original_crc,
                                  std::uint64_t sequence);
 
-/// Parse a frame (either version) without decompressing. Throws DecodeError
+/// Parse a frame without decompressing. Throws DecodeError
 /// on malformed or truncated envelopes, including header-checksum failures.
 /// The payload is COPIED out of `framed` (the parsed Frame outlives the
 /// wire buffer) — receivers on the zero-copy path use the BufferView
@@ -93,10 +87,7 @@ Bytes frame_decompress(ByteView framed, const CodecRegistry& registry);
 /// that need the header before deciding how to recover).
 Bytes frame_decode(const Frame& frame, const CodecRegistry& registry);
 
-/// Size in bytes of the v1 envelope around a payload of `payload_size`.
-std::size_t frame_overhead(std::size_t payload_size) noexcept;
-
-/// Size in bytes of the v2 envelope around a payload of `payload_size`
+/// Size in bytes of the envelope around a payload of `payload_size`
 /// with sequence number `sequence`.
 std::size_t frame_overhead_seq(std::size_t payload_size,
                                std::uint64_t sequence) noexcept;

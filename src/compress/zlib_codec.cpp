@@ -43,7 +43,9 @@ Bytes ZlibCodec::decompress(ByteView input) {
   std::size_t pos = 0;
   const std::uint64_t size = get_varint(input, &pos);
   if (size == 0) return {};
-  if (size > (std::uint64_t{1} << 40)) {
+  // Deflate expands at most 1032:1, so a header claiming more than that
+  // over the stream behind it is corrupt, and must not size an allocation.
+  if (size / 1032 > input.size() - pos) {
     throw DecodeError("zlib: implausible original size");
   }
   Bytes out(size);

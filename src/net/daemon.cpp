@@ -471,6 +471,10 @@ void Daemon::drain_publish_queue() {
     manager_.publish(block);
     blocks_published_.fetch_add(1, std::memory_order_relaxed);
     net_metrics().blocks.add();
+    // A burst published whole would overflow the egress of every client
+    // slower than the burst: move each block toward the sockets before
+    // the next one lands. A batch of one is pumped by run() as before.
+    if (batch.size() > 1) pump_sessions();
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <optional>
 
+#include "compress/frame.hpp"
 #include "util/crc32.hpp"
 
 namespace acex::qa {
@@ -64,54 +65,40 @@ void flip_random_bit(Bytes& out, Rng& rng) {
 
 constexpr std::size_t kFrameMethodPos = 3;  // "AX" + version byte
 
-/// Header geometry of a (possibly damaged) frame buffer. Positions are
-/// byte offsets into the buffer; `checksum_pos` is meaningful for v2 only.
+/// Header geometry of a (possibly damaged) frame buffer, as byte offsets
+/// into the buffer.
 struct FrameLayout {
-  std::uint8_t version = 0;
-  std::size_t seq_pos = 0;       ///< v2 sequence varint (0 for v1)
+  std::size_t seq_pos = 0;       ///< sequence varint
   std::size_t size_pos = 0;      ///< payload-size varint
-  std::size_t checksum_pos = 0;  ///< v2 header-checksum byte (0 for v1)
+  std::size_t checksum_pos = 0;  ///< header-checksum byte
   std::size_t payload_pos = 0;   ///< first payload byte
 };
 
 std::optional<FrameLayout> scan_frame(const Bytes& framed) noexcept {
-  if (framed.size() < 5 || framed[0] != 'A' || framed[1] != 'X') {
+  if (framed.size() < 5 || framed[0] != 'A' || framed[1] != 'X' ||
+      framed[2] != kFrameVersionSeq) {
     return std::nullopt;
   }
   FrameLayout layout;
-  layout.version = framed[2];
-  std::size_t pos = kFrameMethodPos + 1;
-  if (layout.version == 2) {
-    layout.seq_pos = pos;
-    const auto seq = scan_varint(framed, pos);
-    if (!seq) return std::nullopt;
-    pos += seq->length;
-  } else if (layout.version != 1) {
-    return std::nullopt;
-  }
-  layout.size_pos = pos;
-  const auto size = scan_varint(framed, pos);
+  layout.seq_pos = kFrameMethodPos + 1;
+  const auto seq = scan_varint(framed, layout.seq_pos);
+  if (!seq) return std::nullopt;
+  layout.size_pos = layout.seq_pos + seq->length;
+  const auto size = scan_varint(framed, layout.size_pos);
   if (!size) return std::nullopt;
-  pos += size->length;
-  if (layout.version == 2) {
-    layout.checksum_pos = pos++;
-  }
-  if (pos > framed.size()) return std::nullopt;
-  layout.payload_pos = pos;
+  layout.checksum_pos = layout.size_pos + size->length;
+  layout.payload_pos = layout.checksum_pos + 1;
+  if (layout.payload_pos > framed.size()) return std::nullopt;
   return layout;
 }
 
-/// Recompute the v2 header checksum (XOR of every byte before it) after a
-/// field edit, so the mutation reaches the layers behind the gate.
+/// Recompute the header checksum after a field edit, so the mutation
+/// reaches the layers behind the gate.
 void fix_header_checksum(Bytes& framed) {
   const auto layout = scan_frame(framed);
-  if (!layout || layout->version != 2 ||
-      layout->checksum_pos >= framed.size()) {
-    return;
-  }
-  std::uint8_t sum = 0;
-  for (std::size_t i = 0; i < layout->checksum_pos; ++i) sum ^= framed[i];
-  framed[layout->checksum_pos] = sum;
+  if (!layout) return;
+  framed[layout->checksum_pos] = frame_header_checksum(
+      ByteView(framed).first(layout->checksum_pos));
 }
 
 }  // namespace
@@ -200,8 +187,8 @@ Bytes mutate_frame(const Bytes& framed, Rng& rng) {
     case 0:  // magic
       out[rng.below(2)] ^= static_cast<std::uint8_t>(1u << rng.below(8));
       break;
-    case 1:  // version: the other dialect, or an unknown one
-      out[2] = rng.chance(0.5) ? static_cast<std::uint8_t>(3 - out[2])
+    case 1:  // version: the retired v1, or any byte at all
+      out[2] = rng.chance(0.5) ? std::uint8_t{1}
                                : static_cast<std::uint8_t>(rng.below(256));
       break;
     case 2: {  // method id: a different valid one, or garbage
@@ -210,20 +197,15 @@ Bytes mutate_frame(const Bytes& framed, Rng& rng) {
       out[kFrameMethodPos] = kIds[rng.below(std::size(kIds))];
       break;
     }
-    case 3:  // sequence varint (v2); v1 has none — mutate the size instead
-      out = mutate_varint_at(
-          out, layout->version == 2 ? layout->seq_pos : layout->size_pos, rng);
+    case 3:  // sequence varint
+      out = mutate_varint_at(out, layout->seq_pos, rng);
       break;
     case 4:  // payload-size varint
       out = mutate_varint_at(out, layout->size_pos, rng);
       break;
-    case 5:  // header checksum byte (v2) / first payload byte (v1)
-      if (layout->version == 2 && layout->checksum_pos < out.size()) {
-        out[layout->checksum_pos] ^=
-            static_cast<std::uint8_t>(1 + rng.below(255));
-      } else {
-        flip_random_bit(out, rng);
-      }
+    case 5:  // header checksum byte
+      out[layout->checksum_pos] ^=
+          static_cast<std::uint8_t>(1 + rng.below(255));
       break;
     case 6:  // payload byte
       if (layout->payload_pos < out.size()) {

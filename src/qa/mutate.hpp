@@ -6,13 +6,14 @@
 //     window duplication. Format-blind; the historical test_fuzz.cpp
 //     helper, now the single source of truth every suite shares.
 //
-//   * structure-aware mutators — parse just enough of a frame v1/v2
-//     envelope, a PBIO stream, or a varint to mutate *fields* rather than
-//     bytes: swap the version, forge a sequence varint at a width
-//     boundary, stretch a size varint, retarget the method id — and,
-//     crucially, optionally re-fix the v2 header checksum afterwards so
-//     the corruption penetrates past the first integrity gate and lands on
-//     the deeper parsing layers that generic bit flips rarely reach.
+//   * structure-aware mutators — parse just enough of a frame envelope, a
+//     PBIO stream, or a varint to mutate *fields* rather than bytes: forge
+//     the version, a sequence varint at a width boundary, stretch a size
+//     varint, retarget the method id — and, crucially, optionally re-fix
+//     the frame's header checksum afterwards (with frame.cpp's own
+//     frame_header_checksum) so the corruption penetrates past the first
+//     integrity gate and lands on the deeper parsing layers that generic
+//     bit flips rarely reach.
 //
 // Every mutator is a pure function of (input, Rng): the same seed replays
 // the same mutation stream forever, which is what makes acexfuzz --replay
@@ -30,12 +31,12 @@ namespace acex::qa {
 /// varint/sentinel scanners). Format-blind.
 Bytes mutate(const Bytes& input, Rng& rng);
 
-/// Structure-aware frame mutator. Treats `framed` as a v1/v2 frame and
-/// mutates one header field (magic, version, method id, sequence varint,
-/// size varint, header checksum, payload byte, CRC trailer); with
-/// probability ~1/2 the v2 header checksum is recomputed after the edit so
-/// the damage survives the checksum gate. Falls back to mutate() when the
-/// buffer is too short to address header fields.
+/// Structure-aware frame mutator. Treats `framed` as a frame and mutates
+/// one field (magic, version, method id, sequence varint, size varint,
+/// header checksum, payload byte, CRC trailer); with probability ~1/2 the
+/// header checksum is recomputed after the edit so the damage survives the
+/// checksum gate. Falls back to mutate() when the buffer does not scan as
+/// a frame header.
 Bytes mutate_frame(const Bytes& framed, Rng& rng);
 
 /// Structure-aware PBIO mutator: targets the stream header (magic,

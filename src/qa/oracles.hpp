@@ -50,13 +50,6 @@ Verdict decoder_bounds(MethodId id, const Bytes& mutated,
 /// registry lacks, or whose payload failed the CRC, is a finding.
 Verdict frame_survives(const Bytes& mutated, const CodecRegistry& registry);
 
-/// Cross-version differential: the same payload framed v1 and v2 must
-/// carry identical codec output and decode to identical bytes, and the v2
-/// envelope must cost exactly varint(sequence) + 1 checksum byte more.
-Verdict frame_cross_version(MethodId id, ByteView data,
-                            std::uint64_t sequence,
-                            const CodecRegistry& registry);
-
 /// pbio::decode_stream on arbitrary bytes: throw or return bounded records.
 Verdict pbio_survives(const Bytes& mutated);
 

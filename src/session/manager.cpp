@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "adaptive/decision.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 
@@ -87,12 +88,11 @@ MethodId SessionManager::govern(MethodId method) const noexcept {
   if (stage >= DegradationStage::kNullCodec) return MethodId::kNone;
   // kCheaperCodec: one rung down the adaptive ladder — trade ratio for
   // CPU and buffer space, the Ferragina–Tosoni frontier slide.
-  switch (method) {
-    case MethodId::kBurrowsWheeler: return MethodId::kLempelZiv;
-    case MethodId::kLempelZiv: return MethodId::kHuffman;
-    case MethodId::kHuffman: return MethodId::kNone;
-    default: return method;  // kNone and off-ladder methods unchanged
+  const std::size_t rung = adaptive::decision_ladder_rung(method);
+  if (rung == 0 || rung == adaptive::kDecisionLadder.size()) {
+    return method;  // kNone and off-ladder methods unchanged
   }
+  return adaptive::kDecisionLadder[rung - 1];
 }
 
 ConnectResult SessionManager::connect(transport::Transport& transport,

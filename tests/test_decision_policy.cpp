@@ -345,10 +345,14 @@ AdaptiveConfig policy_config(DecisionPolicy policy, std::size_t workers) {
   config.decision.policy = policy;
   // Pin the scored policies into their ratio-dominated regime: ratio
   // estimates are pure functions of the bytes, so decisions stay identical
-  // across serial/parallel/broker paths regardless of wall-clock encode
-  // noise. The CPU terms are covered by the pure-function tests above.
+  // across serial/parallel/broker paths regardless of encode noise. The
+  // CPU terms are covered by the pure-function tests above.
   config.decision.min_saving_per_cpu_us = 0.0;
   config.decision.energy_cpu_weight = 0.0;
+  // Charge Fig. 4's model, not the wall clock: under a sanitizer or a
+  // loaded ctest -j the measured speeds swing enough to flip the §2.5
+  // first test, and the serial and pooled senders would disagree.
+  config.cpu_meter = CpuMeter::paper_model();
   config.worker_threads = workers;
   return config;
 }
@@ -384,16 +388,16 @@ TEST(DecisionPolicyPaths, SharedSamplePlansMatchInlinePlans) {
   // plan_block_sampled must produce the same decision the inline
   // plan_block path makes from its own identical sample, block by block —
   // what keeps a broker subscriber byte-identical to a private sender.
-  // Both senders charge Fig. 4's model, so neither folds its own wall
-  // timing of its sample. On the fast link the kBandwidth paths read no
-  // sample after the first block; the scored policies read every one.
+  // Both senders charge Fig. 4's model (policy_config), so neither folds
+  // its own wall timing of its sample. On the fast link the kBandwidth
+  // paths read no sample after the first block; the scored policies read
+  // every one.
   workloads::TransactionGenerator gen(13);
   const Bytes data = gen.text_block(16 * 4096);
   const Sampler sampler(1024);
   for (const double link_Bps : {1e6, 1e9}) {
     for (const DecisionPolicy policy : all_policies()) {
-      AdaptiveConfig config = policy_config(policy, 1);
-      config.cpu_meter = CpuMeter::paper_model();
+      const AdaptiveConfig config = policy_config(policy, 1);
       SimWire wire_a(link_Bps), wire_b(link_Bps);
       AdaptiveSender inline_sender(wire_a.duplex.a(), config);
       AdaptiveSender shared_sender(wire_b.duplex.a(), config);

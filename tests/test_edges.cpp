@@ -132,8 +132,11 @@ TEST(FrameEdge, OverheadFormulaMatchesReality) {
   NullCodec null;
   for (const std::size_t n : {0u, 1u, 127u, 128u, 100000u}) {
     const Bytes data(n, 7);
-    const Bytes framed = frame_compress(null, data);
-    EXPECT_EQ(framed.size(), n + frame_overhead(n)) << "n=" << n;
+    for (const std::uint64_t seq : {0ull, 128ull, 1ull << 40}) {
+      const Bytes framed = frame_compress_seq(null, data, seq);
+      EXPECT_EQ(framed.size(), n + frame_overhead_seq(n, seq))
+          << "n=" << n << " seq=" << seq;
+    }
   }
 }
 

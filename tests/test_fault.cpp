@@ -22,6 +22,7 @@
 #include "transport/fault_transport.hpp"
 #include "transport/retransmit.hpp"
 #include "transport/sim_transport.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/varint.hpp"
 
@@ -251,6 +252,38 @@ TEST_F(FaultTest, SkipPolicyDropsDuplicatesAndSortsReorders) {
   Bytes expected = b0;
   expected.insert(expected.end(), b1.begin(), b1.end());
   EXPECT_EQ(report.data, expected);  // sequence order, not arrival order
+}
+
+TEST_F(FaultTest, RetiredV1FrameIsCorruptWireData) {
+  // The retired v1 layout — "AX" | 1 | method | varint size | payload |
+  // crc32 LE, no sequence and no header checksum — is a bad version now:
+  // kSkip quarantines it like any damaged frame, kThrow throws.
+  const Bytes payload = {'h', 'e', 'l', 'l', 'o'};
+  Bytes v1 = {'A', 'X', 1, 0};
+  put_varint(v1, payload.size());
+  v1.insert(v1.end(), payload.begin(), payload.end());
+  const std::uint32_t crc = crc32(payload);
+  for (int i = 0; i < 4; ++i) {
+    v1.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  }
+  wire();
+  NullCodec null;
+  duplex_->a().send(v1);
+  duplex_->a().send(frame_compress_seq(null, payload, 0));
+  adaptive::AdaptiveReceiver rx(duplex_->b(),
+                                {adaptive::RecoveryPolicy::kSkip, 3});
+  const adaptive::ReceiveReport report = rx.receive_report();
+  ASSERT_EQ(report.frames.size(), 2u);
+  EXPECT_EQ(report.frames[0].status, adaptive::FrameOutcome::Status::kCorrupt);
+  EXPECT_EQ(report.frames[0].error, "decode: frame: bad version");
+  EXPECT_FALSE(report.frames[0].has_sequence);
+  EXPECT_EQ(report.frames_corrupt, 1u);
+  EXPECT_EQ(report.frames_ok, 1u);
+  EXPECT_EQ(report.data, payload);
+
+  duplex_->a().send(v1);
+  adaptive::AdaptiveReceiver strict(duplex_->b());  // kThrow
+  EXPECT_THROW(strict.receive_available(), DecodeError);
 }
 
 TEST_F(FaultTest, ReceiverClampsSequencesOutsideTheGapWindow) {

@@ -23,7 +23,7 @@ TEST_F(FrameTest, RoundTripsEveryBuiltinMethod) {
   const Bytes data = testdata::repetitive_text(20000, 1);
   for (const MethodId id : registry_.methods()) {
     const CodecPtr codec = registry_.create(id);
-    const Bytes framed = frame_compress(*codec, data);
+    const Bytes framed = frame_compress_seq(*codec, data, 0);
     EXPECT_EQ(frame_decompress(framed, registry_), data)
         << method_name(id);
   }
@@ -32,50 +32,51 @@ TEST_F(FrameTest, RoundTripsEveryBuiltinMethod) {
 TEST_F(FrameTest, ParseExposesMethodAndPayload) {
   NullCodec null;
   const Bytes data = testdata::random_bytes(100, 2);
-  const Bytes framed = frame_compress(null, data);
+  const Bytes framed = frame_compress_seq(null, data, 9);
   const Frame frame = frame_parse(framed);
   EXPECT_EQ(frame.method, MethodId::kNone);
   EXPECT_EQ(frame.payload, data);
-  EXPECT_EQ(framed.size(), data.size() + frame_overhead(data.size()));
+  EXPECT_EQ(frame.sequence, 9u);
+  EXPECT_EQ(framed.size(), data.size() + frame_overhead_seq(data.size(), 9));
 }
 
 TEST_F(FrameTest, EmptyPayloadRoundTrips) {
   NullCodec null;
-  const Bytes framed = frame_compress(null, Bytes{});
+  const Bytes framed = frame_compress_seq(null, Bytes{}, 0);
   EXPECT_TRUE(frame_decompress(framed, registry_).empty());
 }
 
 TEST_F(FrameTest, DetectsPayloadCorruption) {
   const CodecPtr codec = registry_.create(MethodId::kHuffman);
-  Bytes framed = frame_compress(*codec, testdata::low_entropy(4096, 3));
+  Bytes framed = frame_compress_seq(*codec, testdata::low_entropy(4096, 3), 0);
   framed[framed.size() / 2] ^= 0x01;
   EXPECT_THROW(frame_decompress(framed, registry_), DecodeError);
 }
 
 TEST_F(FrameTest, DetectsCrcCorruption) {
   NullCodec null;
-  Bytes framed = frame_compress(null, testdata::random_bytes(64, 4));
+  Bytes framed = frame_compress_seq(null, testdata::random_bytes(64, 4), 0);
   framed.back() ^= 0xFF;  // CRC trailer
   EXPECT_THROW(frame_decompress(framed, registry_), DecodeError);
 }
 
 TEST_F(FrameTest, RejectsBadMagic) {
   NullCodec null;
-  Bytes framed = frame_compress(null, testdata::random_bytes(64, 5));
+  Bytes framed = frame_compress_seq(null, testdata::random_bytes(64, 5), 0);
   framed[0] = 'Z';
   EXPECT_THROW(frame_parse(framed), DecodeError);
 }
 
 TEST_F(FrameTest, RejectsBadVersion) {
   NullCodec null;
-  Bytes framed = frame_compress(null, testdata::random_bytes(64, 6));
+  Bytes framed = frame_compress_seq(null, testdata::random_bytes(64, 6), 0);
   framed[2] = 99;
   EXPECT_THROW(frame_parse(framed), DecodeError);
 }
 
 TEST_F(FrameTest, RejectsTruncatedFrame) {
   NullCodec null;
-  Bytes framed = frame_compress(null, testdata::random_bytes(64, 7));
+  Bytes framed = frame_compress_seq(null, testdata::random_bytes(64, 7), 0);
   framed.resize(framed.size() - 5);
   EXPECT_THROW(frame_parse(framed), DecodeError);
 }
@@ -88,10 +89,29 @@ TEST_F(FrameTest, UnknownMethodIdIsCorruptWireData) {
   // An id the registry does not know arrived off the wire: that is damage
   // (or a newer dialect), not caller misuse — DecodeError, not ConfigError,
   // so recovery policies can quarantine the frame like any other bad one.
-  NullCodec null;
-  Bytes framed = frame_compress(null, testdata::random_bytes(64, 8));
-  framed[3] = 77;  // unregistered method id
+  // Built with a valid header checksum so the id, not the gate, is judged.
+  const Bytes data = testdata::random_bytes(64, 8);
+  const Bytes framed = frame_build_seq(static_cast<MethodId>(77), data,
+                                       crc32(data), 0);
+  EXPECT_NO_THROW(frame_parse(framed));
   EXPECT_THROW(frame_decompress(framed, registry_), DecodeError);
+}
+
+TEST_F(FrameTest, RecordedBytesPinTheLayout) {
+  // magic "AX" | version 2 | method 0 (none) | sequence 300 (varint AC 02)
+  // | size 5 | header checksum (0x5A XOR every byte before it) | "hello" |
+  // crc32("hello") little-endian. Every writer shares this one layout, so
+  // a byte that moves here moves on every wire.
+  const Bytes recorded = {0x41, 0x58, 0x02, 0x00, 0xAC, 0x02, 0x05, 0xEA, 'h',
+                          'e',  'l',  'l',  'o',  0x86, 0xA6, 0x10, 0x36};
+  const Bytes hello = {'h', 'e', 'l', 'l', 'o'};
+  NullCodec null;
+  EXPECT_EQ(frame_compress_seq(null, hello, 300), recorded);
+  const Frame frame = frame_parse(recorded);
+  EXPECT_EQ(frame.method, MethodId::kNone);
+  EXPECT_EQ(frame.sequence, 300u);
+  EXPECT_EQ(frame.crc, 0x3610A686u);
+  EXPECT_EQ(frame_decompress(recorded, registry_), hello);
 }
 
 TEST_F(FrameTest, SeqFrameRoundTripsEveryBuiltinMethod) {
@@ -101,11 +121,31 @@ TEST_F(FrameTest, SeqFrameRoundTripsEveryBuiltinMethod) {
     const CodecPtr codec = registry_.create(id);
     const Bytes framed = frame_compress_seq(*codec, data, seq);
     const Frame frame = frame_parse(framed);
-    EXPECT_EQ(frame.version, kFrameVersionSeq) << method_name(id);
-    EXPECT_TRUE(frame.has_sequence);
+    EXPECT_EQ(frame.method, id) << method_name(id);
     EXPECT_EQ(frame.sequence, seq);
     EXPECT_EQ(frame_decompress(framed, registry_), data) << method_name(id);
     seq = seq * 1000 + 7;  // exercise multi-byte sequence varints
+  }
+}
+
+TEST_F(FrameTest, SeqFramesRoundTripAtVarintWidthBoundaries) {
+  // The envelope grows by exactly one byte per sequence-varint byte.
+  const Bytes data = testdata::low_entropy(3000, 22);
+  const std::size_t base_overhead = frame_overhead_seq(0, 0);
+  for (const std::uint64_t seq :
+       {std::uint64_t{0}, std::uint64_t{0x7F}, std::uint64_t{0x80},
+        std::uint64_t{0x3FFF}, std::uint64_t{0x4000},
+        std::uint64_t{0xFFFFFFFF}}) {
+    const CodecPtr codec = registry_.create(MethodId::kLempelZiv);
+    const Bytes framed = frame_compress_seq(*codec, data, seq);
+    const Frame frame = frame_parse(framed);
+    EXPECT_EQ(frame.sequence, seq);
+    const std::size_t payload = frame.payload.size();
+    EXPECT_EQ(framed.size(), payload + frame_overhead_seq(payload, seq))
+        << "seq " << seq;
+    EXPECT_EQ(frame_overhead_seq(0, seq), base_overhead - 1 + varint_size(seq))
+        << "seq " << seq;
+    EXPECT_EQ(frame_decompress(framed, registry_), data) << "seq " << seq;
   }
 }
 
@@ -120,8 +160,8 @@ TEST_F(FrameTest, SeqFrameOverheadMatches) {
 TEST_F(FrameTest, EmptySeqFrameRoundTrips) {
   NullCodec null;
   const Bytes framed = frame_compress_seq(null, Bytes{}, 0);
+  ASSERT_EQ(framed.size(), 11u);  // the smallest well-formed frame
   const Frame frame = frame_parse(framed);
-  EXPECT_TRUE(frame.has_sequence);
   EXPECT_EQ(frame.sequence, 0u);
   EXPECT_TRUE(frame_decompress(framed, registry_).empty());
 }
@@ -156,119 +196,21 @@ TEST_F(FrameTest, SeqFrameTruncationsRejected) {
   }
 }
 
-TEST_F(FrameTest, MinimumV1FrameIsNineBytes) {
-  NullCodec null;
-  const Bytes framed = frame_compress(null, Bytes{});
-  ASSERT_EQ(framed.size(), 9u);  // the smallest well-formed v1 frame
-  EXPECT_NO_THROW(frame_parse(framed));
-  const Bytes eight(framed.begin(), framed.begin() + 8);
-  EXPECT_THROW(frame_parse(eight), DecodeError);
-}
-
 TEST_F(FrameTest, HugePayloadSizeVarintCannotWrapBounds) {
-  // Adversarial size varint near UINT64_MAX: a naive `pos + size + 4`
-  // bound check wraps around; the parser must reject, not read OOB.
-  Bytes framed = {'A', 'X', 1, 0};
+  // Adversarial size varint near UINT64_MAX behind a valid header
+  // checksum: a naive `pos + size + 4` bound check wraps around; the
+  // parser must reject, not read OOB.
+  Bytes framed = {'A', 'X', kFrameVersionSeq, 0, 0};  // sequence 0
   put_varint(framed, std::numeric_limits<std::uint64_t>::max() - 2);
+  framed.push_back(frame_header_checksum(framed));
   framed.insert(framed.end(), 8, 0xAB);
   EXPECT_THROW(frame_parse(framed), DecodeError);
 }
 
 TEST_F(FrameTest, OverlongVarintRejected) {
-  Bytes framed = {'A', 'X', 1, 0};
-  framed.insert(framed.end(), 10, 0xFF);  // never-terminating varint
+  Bytes framed = {'A', 'X', kFrameVersionSeq, 0};
+  framed.insert(framed.end(), 10, 0xFF);  // never-terminating sequence
   EXPECT_THROW(frame_parse(framed), DecodeError);
-}
-
-TEST_F(FrameTest, LegacyV1LayoutStillDecodes) {
-  // Hand-crafted seed-era layout: "AX" | 1 | method | varint size |
-  // payload | crc32(original) LE. Byte-for-byte what pre-sequence senders
-  // emit — it must keep decoding forever.
-  const Bytes payload = {'h', 'e', 'l', 'l', 'o'};
-  Bytes framed = {'A', 'X', 1, 0};
-  put_varint(framed, payload.size());
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    framed.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
-  const Frame frame = frame_parse(framed);
-  EXPECT_EQ(frame.version, kFrameVersion);
-  EXPECT_FALSE(frame.has_sequence);
-  EXPECT_EQ(frame_decompress(framed, registry_), payload);
-}
-
-// --------------------------- v1 <-> v2 cross-version differential (§10)
-// The two frame dialects are envelopes around the *same* codec output:
-// byte-identical payload, method and CRC, decoding to the same data, with
-// the v2 overhead being exactly the sequence varint plus one checksum
-// byte. Regression-pins the compat path acexfuzz's cross_version oracle
-// fuzzes.
-
-TEST_F(FrameTest, CrossVersionEnvelopesCarryIdenticalCodecOutput) {
-  const Bytes data = testdata::repetitive_text(12000, 21);
-  for (const MethodId id : registry_.methods()) {
-    const CodecPtr codec_v1 = registry_.create(id);
-    const CodecPtr codec_v2 = registry_.create(id);
-    const std::uint64_t seq = 0x4000;  // three-varint-byte territory
-    const Bytes v1 = frame_compress(*codec_v1, data);
-    const Bytes v2 = frame_compress_seq(*codec_v2, data, seq);
-
-    const Frame f1 = frame_parse(v1);
-    const Frame f2 = frame_parse(v2);
-    EXPECT_FALSE(f1.has_sequence) << method_name(id);
-    ASSERT_TRUE(f2.has_sequence) << method_name(id);
-    EXPECT_EQ(f2.sequence, seq);
-    EXPECT_EQ(f1.method, f2.method) << method_name(id);
-    EXPECT_EQ(f1.crc, f2.crc) << method_name(id);
-    EXPECT_TRUE(f1.payload == f2.payload) << method_name(id);
-
-    EXPECT_EQ(v2.size(), v1.size() + varint_size(seq) + 1) << method_name(id);
-    EXPECT_EQ(frame_decompress(v1, registry_), data) << method_name(id);
-    EXPECT_EQ(frame_decompress(v2, registry_), data) << method_name(id);
-  }
-}
-
-TEST_F(FrameTest, CrossVersionOverheadTracksSequenceVarintWidth) {
-  const Bytes data = testdata::low_entropy(3000, 22);
-  const CodecPtr base = registry_.create(MethodId::kLempelZiv);
-  const Bytes v1 = frame_compress(*base, data);
-  for (const std::uint64_t seq :
-       {std::uint64_t{0}, std::uint64_t{0x7F}, std::uint64_t{0x80},
-        std::uint64_t{0x3FFF}, std::uint64_t{0x4000},
-        std::numeric_limits<std::uint64_t>::max()}) {
-    const CodecPtr codec = registry_.create(MethodId::kLempelZiv);
-    const Bytes v2 = frame_compress_seq(*codec, data, seq);
-    EXPECT_EQ(v2.size(), v1.size() + varint_size(seq) + 1) << "seq " << seq;
-    EXPECT_EQ(frame_decompress(v2, registry_), data) << "seq " << seq;
-  }
-}
-
-TEST_F(FrameTest, V2BodySurvivesAsV1AfterEnvelopeTransplant) {
-  // Strip a v2 frame's sequence varint and checksum byte, rewrite the
-  // version byte, and the result must be a well-formed v1 frame carrying
-  // the same payload — the compat path is an envelope change only.
-  const Bytes data = testdata::repetitive_text(5000, 23);
-  const CodecPtr codec = registry_.create(MethodId::kHuffman);
-  const Bytes v2 = frame_compress_seq(*codec, data, 0x1234);
-
-  Bytes v1(v2);
-  v1[2] = 1;  // version byte back to v1
-  // Layout: "AX" ver method | seq varint | size varint | checksum | ...
-  const std::size_t seq_pos = 4;
-  std::size_t pos = seq_pos;
-  (void)get_varint(v2, &pos);        // skip the sequence varint
-  std::size_t size_end = pos;
-  (void)get_varint(v2, &size_end);   // size varint ends here; checksum next
-  v1.erase(v1.begin() + static_cast<std::ptrdiff_t>(size_end),
-           v1.begin() + static_cast<std::ptrdiff_t>(size_end) + 1);
-  v1.erase(v1.begin() + seq_pos,
-           v1.begin() + static_cast<std::ptrdiff_t>(pos));
-
-  const Frame parsed = frame_parse(v1);
-  EXPECT_FALSE(parsed.has_sequence);
-  EXPECT_EQ(parsed.method, MethodId::kHuffman);
-  EXPECT_EQ(frame_decompress(v1, registry_), data);
 }
 
 TEST(Registry, CreateAllBuiltins) {
@@ -322,6 +264,29 @@ TEST(Zlib, ComparatorRoundTripsWhenAvailable) {
   const CodecPtr codec = make_codec(MethodId::kZlib);
   const Bytes data = testdata::repetitive_text(50000, 9);
   EXPECT_EQ(codec->decompress(codec->compress(data)), data);
+}
+
+TEST(Zlib, SizeHeaderBeyondDeflateRatioIsDecodeError) {
+  // A corrupt header claiming more than deflate's 1032:1 over the stream
+  // behind it is rejected before it sizes an allocation: std::bad_alloc
+  // is not a typed decode failure. A claim within the ratio reaches zlib.
+  if (!zlib_available()) GTEST_SKIP() << "zlib not compiled in";
+  const CodecPtr codec = make_codec(MethodId::kZlib);
+  const auto decode_error = [&](std::uint64_t size) -> std::string {
+    Bytes packed;
+    put_varint(packed, size);
+    packed.insert(packed.end(), 16, 0x00);  // not a zlib stream
+    try {
+      (void)codec->decompress(packed);
+    } catch (const DecodeError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string implausible = "decode: zlib: implausible original size";
+  EXPECT_EQ(decode_error(std::uint64_t{1} << 39), implausible);
+  EXPECT_EQ(decode_error(17 * 1032), implausible);
+  EXPECT_EQ(decode_error(16 * 1032), "decode: zlib: corrupt stream");
 }
 
 }  // namespace

@@ -52,8 +52,8 @@ TEST_P(Fuzz, FramesSurviveMutation) {
   Rng rng(GetParam() + 1000);
   const CodecRegistry registry = CodecRegistry::with_builtins();
   const CodecPtr codec = make_codec(MethodId::kLempelZiv);
-  const Bytes framed =
-      frame_compress(*codec, testdata::low_entropy(8000, GetParam()));
+  const Bytes framed = frame_compress_seq(
+      *codec, testdata::low_entropy(8000, GetParam()), GetParam());
   int accepted = 0;
   for (int i = 0; i < kMutationsPerSeed; ++i) {
     const Bytes bad = mutate(framed, rng);

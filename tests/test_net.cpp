@@ -917,13 +917,9 @@ TEST(NetDaemon, PollBackendServesClientsToo) {
   daemon.stop();
 }
 
-TEST(NetDaemon, RawFleetStopsSamplingAfterWarmup) {
-  // acexbench's daemon-tcp-4 fleet over loopback. A daemon connection
-  // accepts a frame in microseconds, so once the warm-up has measured the
-  // links every subscriber sends raw: the §2.5 first test fails, no plan
-  // reads a sample, and the loop thread takes none.
-  Daemon daemon(quick_daemon_config());
-  daemon.start();
+/// acexbench's daemon-tcp-4 fleet: four clients with distinct method
+/// offers and block sizes of 8, 16, 24 and 32 KiB.
+std::vector<std::unique_ptr<DaemonClient>> bench_fleet(std::uint16_t port) {
   const std::vector<std::vector<MethodId>> offers = {
       {MethodId::kHuffman, MethodId::kNone},
       {MethodId::kLempelZiv, MethodId::kNone},
@@ -935,11 +931,23 @@ TEST(NetDaemon, RawFleetStopsSamplingAfterWarmup) {
     DaemonClientConfig cfg;
     cfg.offer.methods = offers[i];
     cfg.offer.block_size = static_cast<std::uint32_t>(8 * 1024 * (i + 1));
-    clients.push_back(std::make_unique<DaemonClient>(daemon.port(), cfg));
+    clients.push_back(std::make_unique<DaemonClient>(port, cfg));
   }
+  return clients;
+}
 
-  // One block at a time, each delivered before the next: a burst of a
-  // hundred would overflow the small clients' egress.
+TEST(NetDaemon, RawFleetStopsSamplingAfterWarmup) {
+  // acexbench's daemon-tcp-4 fleet over loopback. A daemon connection
+  // accepts a frame in microseconds, so once the warm-up has measured the
+  // links every subscriber sends raw: the §2.5 first test fails, no plan
+  // reads a sample, and the loop thread takes none.
+  Daemon daemon(quick_daemon_config());
+  daemon.start();
+  const std::vector<std::unique_ptr<DaemonClient>> clients =
+      bench_fleet(daemon.port());
+
+  // One block at a time, each delivered before the next, so every plan
+  // sees the links as the previous block left them.
   constexpr std::size_t kBlockBytes = 16 * 1024;
   std::uint32_t published = 0;
   const auto publish_and_deliver = [&](std::uint32_t blocks) {
@@ -954,6 +962,44 @@ TEST(NetDaemon, RawFleetStopsSamplingAfterWarmup) {
   const std::uint64_t samples_before = samples_taken();
   publish_and_deliver(100);
   EXPECT_EQ(samples_taken() - samples_before, 0u);
+
+  for (auto& client : clients) client->bye();
+  daemon.stop();
+}
+
+TEST(NetDaemon, BurstOfPublishesReachesEveryClient) {
+  // The same fleet, fed a hundred blocks back to back: the loop drains
+  // them as a batch and must move each toward the sockets before the next
+  // one lands, or the egress of the 8 KiB client overflows and its stream
+  // stalls.
+  Daemon daemon(quick_daemon_config());
+  daemon.start();
+  const std::vector<std::unique_ptr<DaemonClient>> clients =
+      bench_fleet(daemon.port());
+
+  constexpr std::size_t kBlockBytes = 16 * 1024;
+  Bytes expected;
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    Bytes block = demo_block(9, i, kBlockBytes);
+    expected.insert(expected.end(), block.begin(), block.end());
+    daemon.publish(std::move(block));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  const auto short_of_target = [&] {
+    return std::any_of(clients.begin(), clients.end(), [&](const auto& c) {
+      return c->stream().size() < expected.size();
+    });
+  };
+  while (short_of_target() && std::chrono::steady_clock::now() < deadline) {
+    for (const auto& client : clients) {
+      if (client->stream().size() < expected.size()) client->poll(5);
+    }
+  }
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    EXPECT_EQ(clients[i]->stream().size(), expected.size()) << "client " << i;
+    EXPECT_TRUE(clients[i]->stream() == expected) << "client " << i;
+  }
 
   for (auto& client : clients) client->bye();
   daemon.stop();

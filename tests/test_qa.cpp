@@ -98,10 +98,12 @@ TEST(QaMutate, ContainerMutatorKeepsWorkingAcrossAllCodecs) {
 // -------------------------------------------------------- QaFrameMutate
 
 TEST(QaFrameMutate, SomeMutantsPenetrateTheHeaderChecksumGate) {
-  // The structure-aware mutator re-fixes the v2 header checksum half the
+  // The structure-aware mutator re-fixes the header checksum half the
   // time, so a healthy share of mutants must still *parse* — proving the
   // corruption reaches the layers behind the first integrity gate — while
-  // others must be rejected up front.
+  // others must be rejected up front. About half parse; a fix-up that
+  // missed the frame module's checksum would pass only the mutants whose
+  // header it never touched (61 of these 400), so the bound sits above.
   const CodecPtr codec = make_codec(MethodId::kLempelZiv);
   const Bytes framed = frame_compress_seq(*codec, sample_text(4096, 13), 7);
   Rng rng(17);
@@ -115,7 +117,7 @@ TEST(QaFrameMutate, SomeMutantsPenetrateTheHeaderChecksumGate) {
       ++rejected;
     }
   }
-  EXPECT_GT(parsed, 40);
+  EXPECT_GT(parsed, 120);
   EXPECT_GT(rejected, 40);
 }
 
@@ -251,13 +253,10 @@ TEST(QaOracle, GeneratorsAreDeterministicAndCoverRegimes) {
 }
 
 TEST(QaOracle, CleanInputsPassEveryOracle) {
-  const CodecRegistry registry = CodecRegistry::with_builtins();
   for (const auto& [tag, data] : qa::seed_payloads(2048, 3)) {
     for (const MethodId id : paper_methods()) {
       const qa::Verdict rt = qa::codec_roundtrip(id, data);
       EXPECT_TRUE(rt.ok) << tag << ": " << rt.detail;
-      const qa::Verdict xv = qa::frame_cross_version(id, data, 12345, registry);
-      EXPECT_TRUE(xv.ok) << tag << ": " << xv.detail;
     }
     const qa::Verdict z = qa::zlib_agreement(data);
     EXPECT_TRUE(z.ok) << tag << ": " << z.detail;
@@ -302,19 +301,6 @@ TEST(QaOracle, CheckSeriesComparesEachSeriesDeltaWithItsTruth) {
   }
   EXPECT_EQ(violations[1],
             "acex.qa.depth: obs delta -2 != ground truth -1");
-}
-
-TEST(QaOracle, CrossVersionHoldsAtVarintWidthBoundarySequences) {
-  const CodecRegistry registry = CodecRegistry::with_builtins();
-  const Bytes data = sample_text(1024, 19);
-  for (const std::uint64_t seq :
-       {std::uint64_t{0}, std::uint64_t{0x7F}, std::uint64_t{0x80},
-        std::uint64_t{0x3FFF}, std::uint64_t{0x4000},
-        std::uint64_t{0xFFFFFFFF}}) {
-    const qa::Verdict v = qa::frame_cross_version(MethodId::kLempelZiv, data,
-                                                  seq, registry);
-    EXPECT_TRUE(v.ok) << "seq " << seq << ": " << v.detail;
-  }
 }
 
 TEST(QaOracle, MutatedFramesNeverBreakTheSurvivalOracle) {

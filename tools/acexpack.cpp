@@ -18,8 +18,10 @@
 // thread).  Method selection stays on the driver thread; the container is
 // byte-identical to a serial run because frames are emitted in block order.
 //
-// Container format: "ACXP" magic, version byte, then length-prefixed acex
-// frames (each frame is self-describing and CRC-checked).
+// Container format: "ACXP" magic, version byte (2), then length-prefixed
+// acex frames. Each frame is self-describing and CRC-checked, and carries
+// its block index as its sequence: `d` rejects a frame out of position, so
+// swapped or repeated frames fail to decode instead of reordering the file.
 
 #include <cstdio>
 #include <cstring>
@@ -45,7 +47,7 @@ namespace {
 using namespace acex;
 
 constexpr char kMagic[4] = {'A', 'C', 'X', 'P'};
-constexpr std::uint8_t kVersion = 1;
+constexpr std::uint8_t kVersion = 2;
 
 Bytes read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -87,13 +89,13 @@ MethodId choose_auto(const adaptive::Sampler& sampler, ByteView block) {
 }
 
 Bytes pack_block_inner(const CodecRegistry& registry, ByteView block,
-                       MethodId method, bool best) {
-  if (!best) return frame_compress(*registry.create(method), block);
+                       std::uint64_t index, MethodId method, bool best) {
+  if (!best) return frame_compress_seq(*registry.create(method), block, index);
   Bytes framed;
   for (const MethodId m :
        {MethodId::kNone, MethodId::kHuffman, MethodId::kLempelZiv,
         MethodId::kBurrowsWheeler}) {
-    Bytes candidate = frame_compress(*registry.create(m), block);
+    Bytes candidate = frame_compress_seq(*registry.create(m), block, index);
     if (framed.empty() || candidate.size() < framed.size()) {
       framed = std::move(candidate);
     }
@@ -101,15 +103,15 @@ Bytes pack_block_inner(const CodecRegistry& registry, ByteView block,
   return framed;
 }
 
-/// One block framed with METHOD, or with whichever method packs smallest
-/// when `best` is set.  Runs on worker threads: the obs instruments it
-/// feeds are lock-free and process-wide (--stats renders them), and the
-/// registry is frozen before the pool starts.
+/// Block `index` framed with METHOD, or with whichever method packs
+/// smallest when `best` is set.  Runs on worker threads: the obs
+/// instruments it feeds are lock-free and process-wide (--stats renders
+/// them), and the registry is frozen before the pool starts.
 Bytes pack_block(const CodecRegistry& registry, ByteView block,
-                 MethodId method, bool best) {
+                 std::uint64_t index, MethodId method, bool best) {
   MonotonicClock clock;
   const Stopwatch sw(clock);
-  Bytes framed = pack_block_inner(registry, block, method, best);
+  Bytes framed = pack_block_inner(registry, block, index, method, best);
   obs::MetricsRegistry::global()
       .histogram("acex.pack.block_us", "method",
                  best ? "best" : method_name(method))
@@ -154,14 +156,15 @@ int cmd_compress(const std::string& method_arg, std::size_t block_size,
     put_varint(out, result.framed.size());
     out.insert(out.end(), result.framed.begin(), result.framed.end());
   };
-  const auto job_for = [&](ByteView block) {
+  const auto job_for = [&](std::size_t index) {
     // Selection happens here, on the driver; workers only encode.
+    const ByteView block = blocks[index];
     const MethodId method =
         auto_mode ? choose_auto(sampler, block) : fixed_method;
-    return [&registry, block, method, best_mode] {
+    return [&registry, block, index, method, best_mode] {
       PackResult result;
       try {
-        result.framed = pack_block(registry, block, method, best_mode);
+        result.framed = pack_block(registry, block, index, method, best_mode);
       } catch (...) {
         result.failure = std::current_exception();
       }
@@ -171,15 +174,15 @@ int cmd_compress(const std::string& method_arg, std::size_t block_size,
 
   const std::size_t workers = engine::resolve_worker_threads(jobs);
   if (workers <= 1) {
-    for (const ByteView block : blocks) emit(job_for(block)());
+    for (std::size_t i = 0; i < blocks.size(); ++i) emit(job_for(i)());
   } else {
     engine::ThreadPool pool(workers);
     engine::ParallelBlockPipeline<PackResult> pipeline(pool, 2 * workers);
-    for (const ByteView block : blocks) {
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
       while (pipeline.in_flight() >= pipeline.window_capacity()) {
         emit(pipeline.collect());
       }
-      pipeline.submit(job_for(block));
+      pipeline.submit(job_for(i));
       PackResult ready;
       while (pipeline.try_collect(ready)) emit(std::move(ready));
     }
@@ -220,11 +223,17 @@ int cmd_decompress(const std::string& input, const std::string& output) {
   std::size_t frames = 0;
   while (pos < packed.size()) {
     const std::uint64_t frame_size = get_varint(packed, &pos);
-    if (pos + frame_size > packed.size()) {
+    // get_varint leaves pos <= packed.size(), so this cannot wrap.
+    if (frame_size > packed.size() - pos) {
       throw DecodeError("truncated container frame");
     }
-    const Bytes block =
-        frame_decompress(ByteView(packed).subspan(pos, frame_size), registry);
+    const Frame frame = frame_parse(ByteView(packed).subspan(pos, frame_size));
+    if (frame.sequence != frames) {
+      throw DecodeError("container frame " + std::to_string(frames) +
+                        " carries sequence " +
+                        std::to_string(frame.sequence));
+    }
+    const Bytes block = frame_decode(frame, registry);
     out.insert(out.end(), block.begin(), block.end());
     pos += frame_size;
     ++frames;
