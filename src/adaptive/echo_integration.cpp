@@ -1,7 +1,6 @@
 #include "adaptive/echo_integration.hpp"
 
 #include <atomic>
-#include <exception>
 
 #include "adaptive/pipeline.hpp"
 #include "util/error.hpp"
@@ -45,11 +44,10 @@ echo::EventHandler SwitchableCompressor::handler() {
     // the codec's error. The event count is the frame sequence.
     const MethodId method = state->method;
     const std::uint64_t sequence = state->events;
-    PayloadEncode encoded =
+    const PayloadEncode encoded =
         encode_payload(state->registry, event.payload, method,
                        /*expansion_slack_bytes=*/0, /*allow_degrade=*/false,
                        sequence);
-    if (encoded.failure) std::rethrow_exception(encoded.failure);
     event.attributes.set_int(kOriginalSizeAttr,
                              static_cast<std::int64_t>(event.payload.size()));
     event.attributes.set_int(kMethodAttr, static_cast<std::int64_t>(method));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "engine/block_pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/crc32.hpp"
@@ -136,11 +135,7 @@ PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
       degraded = true;
     }
   } catch (const Error&) {
-    if (!allow_degrade) {
-      result.failure = std::current_exception();
-      result.encode_seconds = cpu.elapsed();
-      return result;
-    }
+    if (!allow_degrade) throw;
     degraded = true;
     result.threw = true;
   }
@@ -170,15 +165,12 @@ EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
   result.fallback = encoded.fallback;
   result.threw = encoded.threw;
   result.encode_seconds = encoded.encode_seconds;
-  result.failure = std::move(encoded.failure);
-  if (!result.failure) {
-    // Framing (header + payload copy) is sender CPU too: charged with the
-    // encode, though it falls outside the encode span and histogram.
-    const CpuMeter::Timer frame_cpu;
-    result.framed = BufferView::own(frame_build_seq(
-        encoded.method, encoded.payload, encoded.crc, sequence));
-    result.encode_seconds += frame_cpu.elapsed();
-  }
+  // Framing (header + payload copy) is sender CPU too: charged with the
+  // encode, though it falls outside the encode span and histogram.
+  const CpuMeter::Timer frame_cpu;
+  result.framed = BufferView::own(frame_build_seq(
+      encoded.method, encoded.payload, encoded.crc, sequence));
+  result.encode_seconds += frame_cpu.elapsed();
   return result;
 }
 
@@ -247,7 +239,6 @@ void AdaptiveSender::note_codec_success(MethodId method) noexcept {
 BlockReport AdaptiveSender::finish_block(const BlockPlan& plan,
                                          std::size_t original_size,
                                          EncodeResult encoded) {
-  if (encoded.failure) std::rethrow_exception(encoded.failure);
   const obs::ScopedSpan span(obs::BlockTracer::global(), plan.sequence,
                              obs::Stage::kFinish);
 
@@ -292,15 +283,7 @@ BlockReport AdaptiveSender::finish_block(const BlockPlan& plan,
   {
     const obs::ScopedSpan tx(obs::BlockTracer::global(), plan.sequence,
                              obs::Stage::kTransmit);
-    try {
-      transport_->send_buffer(encoded.framed);
-    } catch (...) {
-      // The wire frame is final even though this delivery failed; keep it
-      // replayable so a bounded egress wait (EgressTimeout) stays
-      // recoverable loss instead of a permanent stream gap.
-      ring_.store(plan.sequence, std::move(encoded.framed));
-      throw;
-    }
+    transport_->send_buffer(encoded.framed);
   }
   report.delivered = wire_clock.now();
   report.send_seconds = report.delivered - report.submitted;
@@ -512,12 +495,6 @@ BlockPlan AdaptiveSender::plan_block_sampled(ByteView block,
   return plan_from_sample(block, sample);
 }
 
-BlockPlan AdaptiveSender::plan_block_sampled(ByteView block,
-                                             const SampleResult& sample) {
-  SampleSource taken(sample);
-  return plan_block_sampled(block, taken);
-}
-
 BlockPlan AdaptiveSender::plan_from_sample(ByteView block,
                                            SampleSource& sample) {
   // The sequence is assigned at the end of planning; bind it late.
@@ -636,69 +613,43 @@ StreamReport AdaptiveSender::send_all_fixed(ByteView data, MethodId method) {
 StreamReport AdaptiveSender::send_stream(ByteView data,
                                          std::optional<MethodId> fixed) {
   const std::size_t block_size = config_.decision.block_size;
-  const auto block_at = [&](std::size_t off) {
+  const auto block_at = [&](std::size_t index) {
+    const std::size_t off = index * block_size;
     return off < data.size()
                ? data.subspan(off, std::min(block_size, data.size() - off))
                : ByteView{};
   };
 
-  // Above one worker, encodes fan out to the pool and completed frames are
-  // re-sequenced through a bounded reorder window. Window of 2x the
-  // workers: enough slack that a straggler block does not idle the pool,
-  // small enough that buffering stays a handful of blocks. The pool queue
-  // matches the window — the driver never outruns either.
-  const std::size_t workers =
-      engine::resolve_worker_threads(config_.worker_threads);
-  const std::size_t window = std::max<std::size_t>(2 * workers, 4);
-  if (workers > 1 && !pool_) {
+  if (engine::resolve_worker_threads(config_.worker_threads) > 1 && !pool_) {
     // Workers share the registry read-only from here on; freezing makes a
     // concurrent register_factory() a loud error instead of a data race.
     registry_.freeze();
-    pool_ = std::make_unique<engine::ThreadPool>(workers, window);
+    pool_ = std::make_unique<engine::ThreadPool>(config_.worker_threads);
   }
   struct Encoded {
     BlockPlan plan;
     std::size_t original_size = 0;
     EncodeResult encoded;
   };
-  std::optional<engine::ParallelBlockPipeline<Encoded>> pipeline;
-  if (pool_) pipeline.emplace(*pool_, window);
-
   StreamReport stream;
-  const auto finish = [&](Encoded ready) {
-    stream.add(finish_block(ready.plan, ready.original_size,
-                            std::move(ready.encoded)));
-  };
-  for (std::size_t off = 0; off < data.size(); off += block_size) {
-    const ByteView block = block_at(off);
-    // Serial: sample + decide (adaptive) or just claim a sequence (fixed).
-    const BlockPlan plan =
-        fixed ? plan_block_fixed(block, *fixed)
-              : plan_block(block, block_at(off + block.size()));
-    if (!pipeline) {
-      stream.add(transmit_planned(plan, block));
-      continue;
-    }
-    // Keep in-flight strictly below the window before submitting: the
-    // blocking collect doubles as backpressure on planning, and it
-    // guarantees workers never block pushing into the reorder window
-    // (every live sequence stays inside it), so the single driver thread
-    // cannot deadlock against its own pipeline.
-    while (pipeline->in_flight() >= pipeline->window_capacity()) {
-      finish(pipeline->collect());
-    }
-    const std::size_t slack = config_.expansion_slack_bytes;
-    pipeline->submit([this, plan, block, slack] {
-      return Encoded{plan, block.size(),
-                     encode_block(registry_, block, plan.method, plan.sequence,
-                                  slack, plan.allow_degrade)};
-    });
-    // Opportunistic drain: ship whatever completed in order while the
-    // workers chew on the rest.
-    Encoded ready;
-    while (pipeline->try_collect(ready)) finish(std::move(ready));
-  }
-  while (pipeline && pipeline->in_flight() > 0) finish(pipeline->collect());
+  engine::run_in_order(
+      pool_.get(), (data.size() + block_size - 1) / block_size,
+      [&](std::size_t i) {
+        // Serial: sample + decide (adaptive) or just claim a sequence.
+        const ByteView block = block_at(i);
+        const BlockPlan plan = fixed ? plan_block_fixed(block, *fixed)
+                                     : plan_block(block, block_at(i + 1));
+        return [this, plan, block, slack = config_.expansion_slack_bytes] {
+          return Encoded{plan, block.size(),
+                         encode_block(registry_, block, plan.method,
+                                      plan.sequence, slack,
+                                      plan.allow_degrade)};
+        };
+      },
+      [&](Encoded ready) {
+        stream.add(finish_block(ready.plan, ready.original_size,
+                                std::move(ready.encoded)));
+      });
   return stream;
 }
 

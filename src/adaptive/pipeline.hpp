@@ -124,9 +124,7 @@ struct BlockPlan {
 };
 
 /// What one encode_block() call produced. `framed` is ready for the wire;
-/// degradation to the null codec is recorded, never thrown. `failure` is
-/// non-null only when degradation was disallowed and the codec raised —
-/// the caller rethrows it on the thread that owns error handling.
+/// degradation to the null codec is recorded, never thrown.
 struct EncodeResult {
   /// Ready-for-the-wire frame bytes as a span-with-owner. On the broker's
   /// shared-encode path every subscriber whose frame is byte-identical
@@ -140,7 +138,6 @@ struct EncodeResult {
   /// Measured wall time of codec, CRC and framing; finish_block() asks the
   /// sender's CpuMeter what to charge for it.
   Seconds encode_seconds = 0;
-  std::exception_ptr failure;         ///< set iff !allow_degrade and it threw
 };
 
 /// One sequence-free encode of a block: the codec output plus the
@@ -157,7 +154,6 @@ struct PayloadEncode {
   bool fallback = false;              ///< degraded to the null codec
   bool threw = false;                 ///< fallback cause: throw vs expansion
   Seconds encode_seconds = 0;         ///< measured wall time, codec + CRC
-  std::exception_ptr failure;         ///< set iff !allow_degrade and it threw
   std::uint32_t crc = 0;              ///< CRC-32 of the block (frame trailer)
 };
 
@@ -170,14 +166,15 @@ struct PayloadEncode {
 /// codec per call (codec instances are not shareable), and writes only
 /// its result. Concurrent calls on different blocks are race-free.
 ///
-/// With `allow_degrade`, a codec throw or an expanded output falls back to
-/// the null codec and is reported via `fallback`/`threw`. Expanded means
-/// the FRAMED output would exceed the framed null output by more than
+/// With `allow_degrade`, a codec's acex::Error or an expanded output falls
+/// back to the null codec and is reported via `fallback`/`threw`. Expanded
+/// means the FRAMED output would exceed the framed null output by more than
 /// `expansion_slack_bytes`: payload + varint(payload) > block +
 /// varint(block) + slack (the sequence varint is common to both frames and
 /// cancels), so a private sender and the broker reach the same verdict.
-/// Without `allow_degrade`, a codec throw is captured into `failure`
-/// instead (never thrown here, so worker threads stay exception-free).
+/// Without `allow_degrade`, the acex::Error is rethrown. Any other
+/// exception always propagates; on a pool worker it reaches the calling
+/// thread through the job's future.
 /// `trace_block` keys the encode span (the frame sequence when known).
 PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
                              MethodId method,
@@ -188,7 +185,7 @@ PayloadEncode encode_payload(const CodecRegistry& registry, ByteView block,
 /// encode_payload() wrapped in a frame carrying `sequence`: the
 /// per-block encode step of AdaptiveSender, run inline or on a pool
 /// worker. Same thread-safety and degradation contract as
-/// encode_payload(); `framed` stays empty when `failure` is set.
+/// encode_payload().
 EncodeResult encode_block(const CodecRegistry& registry, ByteView block,
                           MethodId method, std::uint64_t sequence,
                           std::size_t expansion_slack_bytes,
@@ -264,7 +261,7 @@ class AdaptiveSender {
 
   /// Stream `data` as blocks; returns per-block reports. With
   /// AdaptiveConfig::worker_threads > 1 the encodes run on a thread pool
-  /// and up to max(2 x workers, 4) blocks are in flight, so the selector
+  /// and up to 2 x workers blocks are in flight, so the selector
   /// sees feedback up to that many blocks stale; frames still leave in
   /// strictly increasing sequence order and the delivered payload is
   /// byte-identical to the 1-worker run. The codec registry is frozen on
@@ -343,10 +340,6 @@ class AdaptiveSender {
   /// never launches the async sampler.
   BlockPlan plan_block_sampled(ByteView block, SampleSource& sample);
 
-  /// plan_block_sampled() with a sample already taken (the tests'
-  /// entry); the plan folds it only if it reads it.
-  BlockPlan plan_block_sampled(ByteView block, const SampleResult& sample);
-
   /// Broker mode (AdaptiveConfig::external_bandwidth_feedback): report one
   /// measured link transfer of `bytes` over `elapsed` seconds into the
   /// bandwidth estimator. Call from the thread that owns this sender's
@@ -357,9 +350,7 @@ class AdaptiveSender {
 
   /// Complete one encoded block: degradation/breaker bookkeeping, monitor
   /// and bandwidth updates, transmission on the transport, retransmit-ring
-  /// storage. Must be called from one thread in sequence order. Rethrows
-  /// `encoded.failure` when set (fixed-method sends surface codec errors
-  /// here, on the driver thread).
+  /// storage. Must be called from one thread in sequence order.
   BlockReport finish_block(const BlockPlan& plan, std::size_t original_size,
                            EncodeResult encoded);
 
@@ -391,8 +382,8 @@ class AdaptiveSender {
   BlockReport transmit_planned(const BlockPlan& plan, ByteView block);
 
   /// The one stream loop behind send_all() (`fixed` empty) and
-  /// send_all_fixed(): plan serially, encode inline (1 worker) or on the
-  /// pool through a bounded reorder window, finish in sequence order.
+  /// send_all_fixed(): engine::run_in_order plans serially, encodes inline
+  /// (1 worker) or on the pool, and finishes in sequence order.
   StreamReport send_stream(ByteView data, std::optional<MethodId> fixed);
 
   /// Shared tail of plan_block()/plan_block_sampled(): run the selector

@@ -1,9 +1,9 @@
 #include "broker/broker.hpp"
 
 #include <atomic>
-#include <condition_variable>
 #include <utility>
 
+#include "adaptive/sampler.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 
@@ -90,13 +90,10 @@ struct FanoutBroker::Subscriber {
   }
 };
 
-FanoutBroker::FanoutBroker(BrokerConfig config)
-    : config_(config),
-      sampler_(config.sample_prefix == 0 ? 4 * 1024 : config.sample_prefix) {
+FanoutBroker::FanoutBroker(BrokerConfig config) : config_(std::move(config)) {
   broker_metrics();  // an idle broker still exports every acex.broker.*
   if (config_.worker_threads != 1) {
-    pool_ = std::make_unique<engine::ThreadPool>(config_.worker_threads,
-                                                 config_.queue_capacity);
+    pool_ = std::make_unique<engine::ThreadPool>(config_.worker_threads);
   }
 }
 
@@ -126,9 +123,8 @@ SubscriberId FanoutBroker::subscribe(transport::Transport& transport,
 
   sub->config = config;
   sub->downstream.store(&transport);
-  sub->queue = std::make_unique<EgressQueue>(config.egress_capacity,
-                                             config.policy, transport.clock(),
-                                             config.block_timeout);
+  sub->queue = std::make_unique<EgressQueue>(
+      config.egress_capacity, config.policy, transport.clock());
   sub->sender =
       std::make_unique<adaptive::AdaptiveSender>(*sub->queue, config.adaptive);
 
@@ -193,35 +189,41 @@ void FanoutBroker::publish(ByteView block) {
   // AdaptiveSender::send_all would make, which is what keeps per-
   // subscriber wire identity. Every subscriber whose block_size covers
   // the whole publish shares one full-size chunk, so the common case
-  // (uniform sizes) stays on the single shared-encode pass.
-  std::map<std::size_t, std::vector<SubscriberPtr>> by_chunk;
+  // (uniform sizes) stays on the single shared-encode pass. The sample
+  // size joins the key for the same reason: a private sender samples at
+  // its own decision.sample_size.
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<SubscriberPtr>>
+      passes;
   for (auto& sub : subs) {
-    std::size_t cap = sub->config.adaptive.decision.block_size;
+    const adaptive::DecisionParams& decision = sub->config.adaptive.decision;
+    std::size_t cap = decision.block_size;
     if (cap == 0 || cap > block.size()) cap = block.size();
-    by_chunk[cap].push_back(std::move(sub));
+    passes[{cap, decision.sample_size}].push_back(std::move(sub));
   }
-  for (auto& [chunk_size, group] : by_chunk) {
+  for (auto& [key, group] : passes) {
+    const auto [chunk_size, sample_size] = key;
     if (chunk_size == block.size()) {  // also the empty-publish case
-      publish_chunk(block, group);
+      publish_chunk(block, sample_size, group);
       continue;
     }
     for (std::size_t off = 0; off < block.size(); off += chunk_size) {
       publish_chunk(
           ByteView(block.data() + off,
                    std::min(chunk_size, block.size() - off)),
-          group);
+          sample_size, group);
     }
   }
 }
 
-void FanoutBroker::publish_chunk(ByteView block,
+void FanoutBroker::publish_chunk(ByteView block, std::size_t sample_size,
                                  const std::vector<SubscriberPtr>& subs) {
   auto& metrics = broker_metrics();
 
   // One sample per chunk, shared and taken on the first plan that reads
   // it: the sampled ratio is a property of the data, not of any
   // subscriber's link, and a chunk every subscriber sends raw needs none.
-  adaptive::SampleSource sample(sampler_, block);
+  const adaptive::Sampler sampler(sample_size);
+  adaptive::SampleSource sample(sampler, block);
 
   struct Planned {
     SubscriberPtr sub;
@@ -251,30 +253,22 @@ void FanoutBroker::publish_chunk(ByteView block,
   std::map<GroupKey, adaptive::PayloadEncode> groups;
   for (const auto& p : planned) groups.emplace(key_of(p), adaptive::PayloadEncode{});
 
-  // Encode once per group — concurrently when the pool exists and there
-  // is more than one group. encode_payload never throws (pool contract).
-  if (pool_ && groups.size() > 1) {
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-    std::size_t remaining = groups.size();
-    for (auto& [key, slot] : groups) {
-      adaptive::PayloadEncode* out = &slot;
-      const GroupKey k = key;
-      pool_->submit([this, block, k, out, &done_mutex, &done_cv, &remaining] {
-        adaptive::PayloadEncode enc =
-            adaptive::encode_payload(registry_, block, k.first, k.second);
-        std::lock_guard<std::mutex> lock(done_mutex);
-        *out = std::move(enc);
-        if (--remaining == 0) done_cv.notify_one();
+  // Encode once per group — on the pool when it exists and there is more
+  // than one group. Jobs are made and consumed in index order, so two
+  // cursors walk the map in step with them.
+  auto to_encode = groups.begin();
+  auto to_store = groups.begin();
+  engine::run_in_order(
+      groups.size() > 1 ? pool_.get() : nullptr, groups.size(),
+      [&](std::size_t) {
+        return [this, block, key = (to_encode++)->first] {
+          return adaptive::encode_payload(registry_, block, key.first,
+                                          key.second);
+        };
+      },
+      [&](adaptive::PayloadEncode enc) {
+        (to_store++)->second = std::move(enc);
       });
-    }
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&remaining] { return remaining == 0; });
-  } else {
-    for (auto& [key, slot] : groups) {
-      slot = adaptive::encode_payload(registry_, block, key.first, key.second);
-    }
-  }
 
   double encode_cpu = 0;
   for (const auto& [key, enc] : groups) encode_cpu += enc.encode_seconds;
@@ -318,27 +312,17 @@ void FanoutBroker::publish_chunk(ByteView block,
 
     if (p.sub->is_disconnected()) continue;
     bool finished = true;
-    bool timed_out = false;
     {
       std::lock_guard<std::mutex> lock(p.sub->sender_mutex);
       try {
         p.sub->sender->finish_block(p.plan, block.size(), std::move(encoded));
-      } catch (const EgressTimeout&) {
-        // A wedged consumer may not pin the publish: the frame is dropped
-        // recoverably (its sequence resurfaces through the NACK path) and
-        // the subscriber stays connected.
-        finished = false;
-        timed_out = true;
       } catch (const IoError&) {
-        // Egress closed (unsubscribe race) or overflowed under
-        // kDisconnect: this subscriber is done, the others untouched.
+        // Egress closed (unsubscribe race): this subscriber is done, the
+        // others untouched.
         finished = false;
       }
     }
-    if (timed_out) {
-      std::lock_guard<std::mutex> lock(p.sub->stats_mutex);
-      ++p.sub->stats.egress_timeouts;
-    } else if (!finished) {
+    if (!finished) {
       p.sub->mark_disconnected();
     } else {
       std::lock_guard<std::mutex> lock(p.sub->stats_mutex);

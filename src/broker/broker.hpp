@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "adaptive/pipeline.hpp"
-#include "adaptive/sampler.hpp"
 #include "broker/egress_queue.hpp"
 #include "echo/channel.hpp"
 #include "engine/thread_pool.hpp"
@@ -33,10 +32,6 @@ struct SubscriberConfig {
   adaptive::AdaptiveConfig adaptive;
   std::size_t egress_capacity = 64;
   SlowConsumerPolicy policy = SlowConsumerPolicy::kBlock;
-  /// Bound on a kBlock publish wait (real seconds; 0 = wait forever). On
-  /// expiry the publish sees EgressTimeout for THIS subscriber only: the
-  /// frame is lost recoverably (NACK path), the subscriber stays alive.
-  Seconds block_timeout = 0;
 };
 
 /// Ground-truth per-subscriber accounting, maintained by the broker and
@@ -48,7 +43,6 @@ struct SubscriberStats {
   std::uint64_t fallbacks = 0;    ///< blocks degraded to the null codec
   std::uint64_t drops = 0;        ///< egress evictions (kDropOldest)
   std::uint64_t retransmits = 0;  ///< frames replayed on NACK
-  std::uint64_t egress_timeouts = 0;  ///< kBlock publishes that timed out
   bool disconnected = false;
 };
 
@@ -78,12 +72,6 @@ struct BrokerConfig {
   /// inline on the publishing thread (deterministic, the test default),
   /// 0 asks for one worker per hardware thread, anything else is literal.
   std::size_t worker_threads = 1;
-  /// Task-queue capacity of the encode pool; 0 = ThreadPool default.
-  std::size_t queue_capacity = 0;
-  /// Shared sampler prefix (the paper's 4 KiB): each published chunk is
-  /// sampled at most ONCE, on the first plan that reads the sample, and
-  /// the result feeds every subscriber's plan that reads it.
-  std::size_t sample_prefix = 4 * 1024;
   /// Frame staging hook. When set, the broker builds each shared frame by
   /// calling this instead of frame_build_seq + heap copy — the shm
   /// transport installs shm::slab_frame_builder here so frames materialize
@@ -104,11 +92,11 @@ struct BrokerConfig {
 /// One FanoutBroker stands between a published block stream (publish(), or
 /// an attached echo::EventChannel) and N subscribers, each with its own
 /// transport, link profile, and adaptive decision state. Per block, every
-/// subscriber plans independently — same shared sample, own bandwidth
-/// estimator, own circuit breaker — and the broker then encodes once per
-/// DISTINCT chosen method, framing the cached payload per subscriber with
-/// its own sequence number (frame_build_seq). K subscribers that agree on
-/// a method cost one codec run, not K.
+/// subscriber plans independently — one sample shared per sample size, own
+/// bandwidth estimator, own circuit breaker — and the broker then encodes
+/// once per DISTINCT chosen method, framing the cached payload per
+/// subscriber with its own sequence number (frame_build_seq). K
+/// subscribers that agree on a method cost one codec run, not K.
 ///
 /// Thread safety: publish() is serialized internally (per-subscriber
 /// sequence order must match finish order). subscribe()/unsubscribe()/
@@ -139,10 +127,11 @@ class FanoutBroker {
   /// framing + finish. A block larger than a subscriber's configured
   /// block_size is re-chunked for that subscriber (the same split a
   /// private AdaptiveSender::send_all would make), so heterogeneous
-  /// negotiated block sizes coexist on one stream. A subscriber whose
-  /// egress rejects the frame (kDisconnect overflow, or closed by
-  /// unsubscribe) is marked disconnected; healthy subscribers are
-  /// unaffected.
+  /// negotiated block sizes coexist on one stream; each chunk is sampled
+  /// at each subscriber's decision.sample_size. A subscriber whose egress
+  /// is closed by unsubscribe is marked disconnected; healthy subscribers
+  /// are unaffected. A codec throw that is not an acex::Error reaches the
+  /// caller, after every encode of the chunk has finished.
   void publish(ByteView block);
 
   /// Drain up to `max_frames` from `id`'s egress onto its real transport,
@@ -232,14 +221,14 @@ class FanoutBroker {
   std::size_t pump_locked_free(const SubscriberPtr& sub,
                                std::size_t max_frames);
   /// One publish pass over `subs` with a chunk every member's block_size
-  /// can carry: shared sample source (taken at most once), per-subscriber
-  /// plan, grouped encode, frame + finish. The body of publish(), minus
-  /// the re-chunking.
-  void publish_chunk(ByteView block, const std::vector<SubscriberPtr>& subs);
+  /// can carry and one sample size they all ask for: shared sample source
+  /// (taken at most once), per-subscriber plan, grouped encode, frame +
+  /// finish. The body of publish(), minus the re-chunking.
+  void publish_chunk(ByteView block, std::size_t sample_size,
+                     const std::vector<SubscriberPtr>& subs);
 
   BrokerConfig config_;
   CodecRegistry registry_ = CodecRegistry::with_builtins();
-  adaptive::Sampler sampler_;
   std::unique_ptr<engine::ThreadPool> pool_;  ///< null = inline encodes
 
   mutable std::mutex mutex_;        ///< guards subscribers_ + next_id_

@@ -1,13 +1,11 @@
 #include "broker/egress_queue.hpp"
 
-#include <chrono>
-
 namespace acex::broker {
 
 EgressQueue::EgressQueue(std::size_t capacity, SlowConsumerPolicy policy,
-                         const Clock& clock, Seconds block_timeout)
+                         const Clock& clock)
     : capacity_(capacity == 0 ? 1 : capacity), policy_(policy),
-      clock_(&clock), block_timeout_(block_timeout < 0 ? 0 : block_timeout) {}
+      clock_(&clock) {}
 
 void EgressQueue::drop_front_locked() {
   bytes_ -= frames_.front().size();
@@ -28,37 +26,18 @@ void EgressQueue::send_buffer(const BufferView& message) {
     const SlowConsumerPolicy effective =
         shed_mode_ ? SlowConsumerPolicy::kDropOldest : policy_;
     switch (effective) {
-      case SlowConsumerPolicy::kBlock: {
-        const auto ready = [this] {
+      case SlowConsumerPolicy::kBlock:
+        not_full_.wait(lock, [this] {
           return closed_ || shed_mode_ || frames_.size() < capacity_;
-        };
-        if (block_timeout_ > 0) {
-          if (!not_full_.wait_for(
-                  lock, std::chrono::duration<double>(block_timeout_),
-                  ready)) {
-            // The frame is lost here, not the subscriber: the receiver
-            // NACKs the gap and the sender's retransmit ring answers.
-            ++timeouts_;
-            throw EgressTimeout("egress queue send timed out");
-          }
-        } else {
-          not_full_.wait(lock, ready);
-        }
+        });
         if (closed_) throw IoError("egress queue closed");
         while (shed_mode_ && frames_.size() >= capacity_) drop_front_locked();
         break;
-      }
       case SlowConsumerPolicy::kDropOldest:
         // The receiver sees the evicted sequence as a gap and asks for it
         // back through its NACK path — loss here is recoverable loss.
         while (frames_.size() >= capacity_) drop_front_locked();
         break;
-      case SlowConsumerPolicy::kDisconnect:
-        closed_ = true;
-        frames_.clear();
-        bytes_ = 0;
-        not_full_.notify_all();
-        throw IoError("egress queue overflow: slow consumer disconnected");
     }
   }
 
@@ -153,11 +132,6 @@ std::uint64_t EgressQueue::drops() const {
 std::uint64_t EgressQueue::accepted() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return accepted_;
-}
-
-std::uint64_t EgressQueue::timeouts() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return timeouts_;
 }
 
 }  // namespace acex::broker

@@ -21,27 +21,12 @@ namespace acex::broker {
 enum class SlowConsumerPolicy {
   /// Publisher blocks until the pump drains a slot. Lossless, but a dead
   /// consumer stalls the publish — only safe when every subscriber is
-  /// actively pumped. With a nonzero block_timeout the wait is bounded
-  /// and a wedged consumer surfaces as EgressTimeout instead of pinning
-  /// the publisher thread forever.
+  /// actively pumped (shed mode and close() free a blocked publisher).
   kBlock,
   /// Evict the oldest queued frame to admit the new one. The subscriber's
   /// receiver sees a sequence gap and recovers through its NACK path; the
   /// publisher never waits.
   kDropOldest,
-  /// Close the queue and fail the subscriber: the publish throws IoError
-  /// for THIS subscriber only, and the broker marks it disconnected.
-  kDisconnect,
-};
-
-/// Typed outcome of a kBlock send that waited out its deadline. The frame
-/// was NOT enqueued, but the queue stays open: the receiver recovers the
-/// missing sequence through its NACK path, so a timeout is recoverable
-/// loss — unlike the IoError thrown for a closed queue, which is fatal to
-/// the subscriber.
-class EgressTimeout : public IoError {
- public:
-  explicit EgressTimeout(const std::string& what) : IoError(what) {}
 };
 
 /// Bounded, thread-safe frame queue standing between one subscriber's
@@ -58,17 +43,12 @@ class EgressQueue final : public transport::Transport {
  public:
   /// `clock` must outlive the queue; it is the downstream transport's
   /// clock, forwarded so sender-side timing stays on the link's timeline.
-  /// `block_timeout` bounds a kBlock wait in REAL (wall-clock) seconds —
-  /// the stored clock may be virtual, and a publisher stuck on a
-  /// condition_variable can only be freed by real time or a wakeup;
-  /// 0 preserves the wait-forever seed behaviour.
   EgressQueue(std::size_t capacity, SlowConsumerPolicy policy,
-              const Clock& clock, Seconds block_timeout = 0);
+              const Clock& clock);
 
   /// Enqueue one frame, applying the slow-consumer policy when full.
   /// Throws IoError once the queue is closed (disconnect semantics) — a
   /// publisher blocked under kBlock is woken and thrown out by close().
-  /// Throws EgressTimeout when a bounded kBlock wait expires.
   void send(ByteView message) override;
 
   /// Zero-copy enqueue: the queue RETAINS the view (sharing its backing
@@ -122,14 +102,11 @@ class EgressQueue final : public transport::Transport {
   std::size_t bytes_unique(std::set<const void*>& seen) const;
   std::size_t capacity() const noexcept { return capacity_; }
   SlowConsumerPolicy policy() const noexcept { return policy_; }
-  Seconds block_timeout() const noexcept { return block_timeout_; }
 
   /// Frames evicted under kDropOldest (or shed mode) since construction.
   std::uint64_t drops() const;
   /// Frames accepted (enqueued) since construction.
   std::uint64_t accepted() const;
-  /// kBlock sends that waited out their deadline since construction.
-  std::uint64_t timeouts() const;
 
  private:
   void drop_front_locked();
@@ -137,7 +114,6 @@ class EgressQueue final : public transport::Transport {
   const std::size_t capacity_;
   const SlowConsumerPolicy policy_;
   const Clock* clock_;
-  const Seconds block_timeout_;
 
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
@@ -145,7 +121,6 @@ class EgressQueue final : public transport::Transport {
   std::size_t bytes_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t accepted_ = 0;
-  std::uint64_t timeouts_ = 0;
   bool closed_ = false;
   bool shed_mode_ = false;
 };

@@ -43,10 +43,8 @@ std::size_t resolve_worker_threads(std::size_t requested) noexcept {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t queue_capacity)
-    : capacity_(queue_capacity) {
+ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t count = resolve_worker_threads(threads);
-  if (capacity_ == 0) capacity_ = 2 * count;
   workers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -68,35 +66,30 @@ void ThreadPool::worker_loop(std::size_t index) {
   obs::set_current_worker(static_cast<std::int32_t>(index));
   PoolMetrics& metrics = pool_metrics();
   for (;;) {
-    std::function<void()> task;
+    std::packaged_task<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       not_empty_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ and nothing left to drain
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++running_;
       metrics.queue_depth.sub(1);
     }
     not_full_.notify_one();
     const double start = steady_us();
-    task();
+    task();  // a throw lands in the task's future, not on this thread
     metrics.busy_us.add(static_cast<std::uint64_t>(steady_us() - start));
     metrics.tasks.add(1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --running_;
-    }
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  if (!task) throw ConfigError("thread pool: task must not be empty");
+void ThreadPool::enqueue(std::packaged_task<void()> task) {
   const double start = steady_us();
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock,
-                   [this] { return stopping_ || queue_.size() < capacity_; });
+    not_full_.wait(lock, [this] {
+      return stopping_ || queue_.size() < 2 * workers_.size();
+    });
     if (stopping_) {
       throw ConfigError("thread pool: submit after shutdown began");
     }
@@ -106,23 +99,6 @@ void ThreadPool::submit(std::function<void()> task) {
   metrics.queue_depth.add(1);
   metrics.submit_wait_us.record(steady_us() - start);
   not_empty_.notify_one();
-}
-
-bool ThreadPool::try_submit(std::function<void()> task) {
-  if (!task) throw ConfigError("thread pool: task must not be empty");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_ || queue_.size() >= capacity_) return false;
-    queue_.push_back(std::move(task));
-  }
-  pool_metrics().queue_depth.add(1);
-  not_empty_.notify_one();
-  return true;
-}
-
-std::size_t ThreadPool::outstanding() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() + running_;
 }
 
 }  // namespace acex::engine

@@ -71,14 +71,12 @@ Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
       manager_(clock_, config_.manager),
       loop_({config_.backend}) {
-  const auto& sub = config_.session.subscriber;
-  if (sub.policy == broker::SlowConsumerPolicy::kBlock &&
-      sub.block_timeout <= 0) {
-    // A forever-blocking egress publish would wedge the single loop thread
-    // on its slowest client; the daemon refuses the foot-gun outright.
+  if (config_.session.subscriber.policy == broker::SlowConsumerPolicy::kBlock) {
+    // A blocking egress publish would wedge the single loop thread on its
+    // slowest client; the daemon refuses the foot-gun outright.
     throw ConfigError(
-        "daemon: egress policy kBlock without a timeout would stall the "
-        "event loop; use kDropOldest (NACK-recoverable) or set a timeout");
+        "daemon: egress policy kBlock would stall the event loop; use "
+        "kDropOldest (NACK-recoverable)");
   }
   listener_.reset(listen_loopback(config_.port, /*backlog=*/128, &port_));
 

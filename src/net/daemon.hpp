@@ -43,8 +43,8 @@ struct DaemonConfig {
 
   /// Per-session template. Negotiation overwrites the adaptive fields
   /// (block size, slack, target rate, governor); the egress MUST be a
-  /// non-blocking policy — a kBlock queue with no timeout would wedge the
-  /// loop thread on one slow client (ConfigError at construction). The
+  /// non-blocking policy — a kBlock queue would wedge the loop thread on
+  /// one slow client (ConfigError at construction). The
   /// default swaps the library-wide kBlock egress for kDropOldest, whose
   /// evictions stay NACK-recoverable.
   session::SessionConfig session = [] {

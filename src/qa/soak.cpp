@@ -78,7 +78,6 @@ struct BrokerSoak {
   static broker::BrokerConfig broker_config(const SoakConfig& cfg) {
     broker::BrokerConfig bc;
     bc.worker_threads = cfg.workers == 0 ? 1 : cfg.workers;
-    bc.sample_prefix = std::min<std::size_t>(1024, cfg.block_size);
     return bc;
   }
 

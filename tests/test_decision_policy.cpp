@@ -460,7 +460,7 @@ TEST(DecisionPolicyPaths, SubscribersWithDistinctPoliciesDiverge) {
   std::size_t divergent = 0;
   for (std::size_t off = 0; off < data.size(); off += 4096) {
     const ByteView block = ByteView(data).subspan(off, 4096);
-    const SampleResult sample = sampler.sample(block);
+    SampleSource sample(sampler.sample(block));
     const BlockPlan a = bandwidth_sub.plan_block_sampled(block, sample);
     const BlockPlan b = efficiency_sub.plan_block_sampled(block, sample);
     if (a.method != b.method) ++divergent;

@@ -1,8 +1,8 @@
 // Parallel compression engine (DESIGN.md §8): ThreadPool bounded-queue
-// semantics, ReorderWindow ordered delivery + backpressure,
-// ParallelBlockPipeline resequencing under adversarial completion order,
-// and AdaptiveSender's multi-worker stream loop — serial-equivalent
-// output, strictly ordered frames on the wire, registry freezing, and the
+// semantics and futures, run_in_order's in-order consumption under
+// adversarial completion order and its unwind on a throw, and
+// AdaptiveSender's multi-worker stream loop — serial-equivalent output,
+// strictly ordered frames on the wire, registry freezing, and the
 // 8-worker × 500-block mixed-workload stress run over a faulty transport.
 
 #include <gtest/gtest.h>
@@ -15,12 +15,9 @@
 
 #include "adaptive/pipeline.hpp"
 #include "compress/frame.hpp"
-#include "engine/block_pipeline.hpp"
 #include "fixtures.hpp"
-#include "engine/reorder_window.hpp"
 #include "engine/thread_pool.hpp"
 #include "netsim/link.hpp"
-#include "obs/metrics.hpp"
 #include "transport/fault_transport.hpp"
 #include "transport/sim_transport.hpp"
 #include "util/error.hpp"
@@ -30,8 +27,6 @@
 namespace acex {
 namespace {
 
-using engine::ParallelBlockPipeline;
-using engine::ReorderWindow;
 using engine::ThreadPool;
 
 // ------------------------------------------------------------ ThreadPool
@@ -39,7 +34,7 @@ using engine::ThreadPool;
 TEST(EngineThreadPool, RunsEveryTaskBeforeJoin) {
   std::atomic<int> ran{0};
   {
-    ThreadPool pool(4, 8);
+    ThreadPool pool(4);
     EXPECT_EQ(pool.size(), 4u);
     for (int i = 0; i < 100; ++i) {
       pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
@@ -51,29 +46,10 @@ TEST(EngineThreadPool, RunsEveryTaskBeforeJoin) {
 TEST(EngineThreadPool, ZeroThreadsResolvesToHardware) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
-  EXPECT_EQ(pool.queue_capacity(), 2 * pool.size());
-}
-
-TEST(EngineThreadPool, TrySubmitRefusesWhenQueueFull) {
-  ThreadPool pool(1, 1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::promise<void> started;
-  // Occupy the single worker until the gate opens...
-  pool.submit([opened, &started] {
-    started.set_value();
-    opened.wait();
-  });
-  started.get_future().wait();
-  // ...fill the single queue slot...
-  ASSERT_TRUE(pool.try_submit([] {}));
-  // ...and the queue must now refuse further work.
-  EXPECT_FALSE(pool.try_submit([] {}));
-  gate.set_value();
 }
 
 TEST(EngineThreadPool, BlockingSubmitWaitsForASlot) {
-  ThreadPool pool(1, 1);
+  ThreadPool pool(1);  // queue holds 2 × 1 tasks
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   std::promise<void> started;
@@ -82,7 +58,8 @@ TEST(EngineThreadPool, BlockingSubmitWaitsForASlot) {
     opened.wait();
   });
   started.get_future().wait();
-  pool.submit([] {});  // fills the queue slot
+  pool.submit([] {});  // fills the two queue slots
+  pool.submit([] {});
   std::atomic<bool> accepted{false};
   std::thread producer([&] {
     pool.submit([] {});  // must block until the worker frees a slot
@@ -95,153 +72,61 @@ TEST(EngineThreadPool, BlockingSubmitWaitsForASlot) {
   EXPECT_TRUE(accepted.load());
 }
 
-// -------------------------------------------------------- ReorderWindow
-
-TEST(EngineReorderWindow, DeliversInSequenceOrder) {
-  ReorderWindow<int> window(8);
-  window.push(2, 20);
-  window.push(0, 0);
-  window.push(1, 10);
-  EXPECT_EQ(window.pop(), 0);
-  EXPECT_EQ(window.pop(), 10);
-  EXPECT_EQ(window.pop(), 20);
-  EXPECT_EQ(window.next_sequence(), 3u);
-}
-
-TEST(EngineReorderWindow, TryPopOnlyWhenHeadReady) {
-  ReorderWindow<int> window(8);
-  int out = -1;
-  EXPECT_FALSE(window.try_pop(out));
-  window.push(1, 10);
-  EXPECT_FALSE(window.try_pop(out));  // head (0) still missing
-  window.push(0, 0);
-  EXPECT_TRUE(window.try_pop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(window.try_pop(out));
-  EXPECT_EQ(out, 10);
-  EXPECT_FALSE(window.try_pop(out));
-}
-
-TEST(EngineReorderWindow, PushFarAheadBlocksUntilConsumerCatchesUp) {
-  ReorderWindow<int> window(2);
-  window.push(0, 0);
-  window.push(1, 10);
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    window.push(2, 20);  // sequence 2 is outside [0, 2): must block
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(pushed.load());  // backpressure held it
-  EXPECT_EQ(window.pop(), 0);  // base advances, slot frees
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(window.pop(), 10);
-  EXPECT_EQ(window.pop(), 20);
-}
-
-TEST(EngineReorderWindow, DuplicateSequenceThrows) {
-  ReorderWindow<int> window(4);
-  window.push(0, 0);
-  EXPECT_THROW(window.push(0, 1), ConfigError);
-  EXPECT_EQ(window.pop(), 0);
-  EXPECT_THROW(window.push(0, 2), ConfigError);  // already delivered
-}
-
-TEST(EngineReorderWindow, CloseReleasesBlockedProducers) {
-  ReorderWindow<int> window(1);
-  window.push(0, 0);
-  std::thread producer([&] { window.push(1, 10); });  // blocks
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  window.close();
-  producer.join();  // released, value discarded
-  SUCCEED();
-}
-
-TEST(EngineReorderWindow, ExactCapacityOccupancyAndBoundary) {
-  // The window's memory bound, pinned at the exact edge: sequence
-  // capacity-1 is the last admissible push while base == 0, capacity
-  // itself must block, and each pop frees exactly one slot. The global
-  // occupancy gauge is checked as a delta (other windows may coexist).
-  constexpr std::size_t kCap = 4;
-  obs::Gauge& gauge =
-      obs::MetricsRegistry::global().gauge("acex.engine.reorder_occupancy");
-  const std::int64_t before = gauge.value();
-  {
-    ReorderWindow<int> window(kCap);
-    EXPECT_EQ(window.capacity(), kCap);
-    for (std::size_t s = kCap; s-- > 0;) {  // fill out of order, no block
-      window.push(s, static_cast<int>(s * 10));
-    }
-    EXPECT_EQ(window.buffered(), kCap);
-    EXPECT_EQ(gauge.value() - before, static_cast<std::int64_t>(kCap));
-
-    std::atomic<bool> pushed{false};
-    std::thread producer([&] {
-      window.push(kCap, static_cast<int>(kCap * 10));  // one past: blocks
-      pushed.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(pushed.load());
-    EXPECT_EQ(window.pop(), 0);  // frees exactly one slot
-    producer.join();
-    EXPECT_TRUE(pushed.load());
-    EXPECT_EQ(window.buffered(), kCap);  // back at the exact bound
-
-    for (std::size_t s = 1; s <= kCap; ++s) {
-      EXPECT_EQ(window.pop(), static_cast<int>(s * 10));
-    }
-    EXPECT_EQ(window.buffered(), 0u);
-    EXPECT_EQ(window.next_sequence(), kCap + 1);
-    EXPECT_EQ(gauge.value(), before);
-  }
-  EXPECT_EQ(gauge.value(), before);  // empty-window destruction: no drift
-}
-
-// -------------------------------------------------- ParallelBlockPipeline
+// --------------------------------------------------------- run_in_order
 
 TEST(EnginePipeline, ResequencesOutOfOrderCompletions) {
-  ThreadPool pool(4, 16);
-  ParallelBlockPipeline<std::uint64_t> pipeline(pool, 16);
+  ThreadPool pool(4);
   constexpr std::uint64_t kJobs = 64;
   // Earlier jobs sleep longer, so completion order inverts submission
-  // order as hard as the pool allows.  The driver drains the window
-  // whenever it fills, as ParallelBlockPipeline's contract requires.
-  std::vector<std::uint64_t> collected;
+  // order as hard as the window allows.
+  std::vector<std::uint64_t> consumed;
+  engine::run_in_order(
+      &pool, kJobs,
+      [&](std::size_t i) {
+        // Jobs made but not yet consumed never exceed the window.
+        EXPECT_LE(i - consumed.size(), 2 * pool.size());
+        return [i] {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds((kJobs - i) * 20));
+          return std::uint64_t{i};
+        };
+      },
+      [&](std::uint64_t value) { consumed.push_back(value); });
+  ASSERT_EQ(consumed.size(), kJobs);
   for (std::uint64_t i = 0; i < kJobs; ++i) {
-    while (pipeline.in_flight() >= pipeline.window_capacity()) {
-      collected.push_back(pipeline.collect());
-    }
-    pipeline.submit([i] {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds((kJobs - i) * 20));
-      return i;
-    });
+    EXPECT_EQ(consumed[i], i);
   }
-  while (collected.size() < kJobs) {
-    collected.push_back(pipeline.collect());
-  }
-  for (std::uint64_t i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(collected[i], i);
-  }
-  EXPECT_EQ(pipeline.in_flight(), 0u);
 }
 
-TEST(EnginePipeline, DestructorDrainsInFlightJobs) {
-  std::atomic<int> ran{0};
-  ThreadPool pool(2, 8);
+TEST(EnginePipeline, ThrowReturnsOnlyAfterSubmittedJobsFinish) {
+  // Job 0 throws only after the window has filled behind it, so later jobs
+  // are queued or running when the throw reaches the caller: run_in_order
+  // must not return before every one of them has finished.
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  int at_return = 0;
   {
-    ParallelBlockPipeline<int> pipeline(pool, 8);
-    for (int i = 0; i < 8; ++i) {
-      pipeline.submit([&ran, i] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        ran.fetch_add(1);
-        return i;
-      });
-    }
-    // Collect nothing: the dtor must wait for all 8 and discard them.
-  }
-  EXPECT_EQ(ran.load(), 8);
+    ThreadPool pool(2);
+    EXPECT_THROW(
+        engine::run_in_order(
+            &pool, 16,
+            [&](std::size_t i) {
+              return [&started, &finished, i] {
+                started.fetch_add(1);
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(i == 0 ? 20 : 30));
+                finished.fetch_add(1);
+                if (i == 0) throw DecodeError("boom");
+                return static_cast<int>(i);
+              };
+            },
+            [](int) {}),
+        DecodeError);
+    at_return = finished.load();
+    EXPECT_EQ(started.load(), at_return);
+  }  // the pool joins here: a job still queued would run now
+  EXPECT_GT(at_return, 1);
+  EXPECT_EQ(started.load(), at_return);
 }
 
 // ------------------------------------------------------- CodecRegistry

@@ -597,8 +597,8 @@ TEST(ShmBroker, SharedFrameCountsOnceInUniqueMemoryAccounting) {
 
 TEST(ShmBroker, EgressQueuesShareOneBufferAcrossSubscribers) {
   MonotonicClock clock;
-  broker::EgressQueue q1(8, broker::SlowConsumerPolicy::kBlock, clock, 0);
-  broker::EgressQueue q2(8, broker::SlowConsumerPolicy::kBlock, clock, 0);
+  broker::EgressQueue q1(8, broker::SlowConsumerPolicy::kBlock, clock);
+  broker::EgressQueue q2(8, broker::SlowConsumerPolicy::kBlock, clock);
   BufferView shared = BufferView::own(pattern(500));
   q1.send_buffer(shared);
   q2.send_buffer(shared);

@@ -25,8 +25,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +35,6 @@
 #include "compress/frame.hpp"
 #include "compress/metrics.hpp"
 #include "compress/registry.hpp"
-#include "engine/block_pipeline.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -119,12 +118,6 @@ Bytes pack_block(const CodecRegistry& registry, ByteView block,
   return framed;
 }
 
-/// Worker jobs must not throw; carry codec failures back to the driver.
-struct PackResult {
-  Bytes framed;
-  std::exception_ptr failure;
-};
-
 int cmd_compress(const std::string& method_arg, std::size_t block_size,
                  std::size_t jobs, bool stats, const std::string& input,
                  const std::string& output) {
@@ -150,44 +143,24 @@ int cmd_compress(const std::string& method_arg, std::size_t block_size,
   out.push_back(kVersion);
 
   std::size_t counts[256] = {};
-  const auto emit = [&](PackResult result) {
-    if (result.failure) std::rethrow_exception(result.failure);
-    ++counts[static_cast<std::uint8_t>(frame_parse(result.framed).method)];
-    put_varint(out, result.framed.size());
-    out.insert(out.end(), result.framed.begin(), result.framed.end());
-  };
-  const auto job_for = [&](std::size_t index) {
-    // Selection happens here, on the driver; workers only encode.
-    const ByteView block = blocks[index];
-    const MethodId method =
-        auto_mode ? choose_auto(sampler, block) : fixed_method;
-    return [&registry, block, index, method, best_mode] {
-      PackResult result;
-      try {
-        result.framed = pack_block(registry, block, index, method, best_mode);
-      } catch (...) {
-        result.failure = std::current_exception();
-      }
-      return result;
-    };
-  };
-
-  const std::size_t workers = engine::resolve_worker_threads(jobs);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < blocks.size(); ++i) emit(job_for(i)());
-  } else {
-    engine::ThreadPool pool(workers);
-    engine::ParallelBlockPipeline<PackResult> pipeline(pool, 2 * workers);
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      while (pipeline.in_flight() >= pipeline.window_capacity()) {
-        emit(pipeline.collect());
-      }
-      pipeline.submit(job_for(i));
-      PackResult ready;
-      while (pipeline.try_collect(ready)) emit(std::move(ready));
-    }
-    while (pipeline.in_flight() > 0) emit(pipeline.collect());
-  }
+  std::optional<engine::ThreadPool> pool;
+  if (engine::resolve_worker_threads(jobs) > 1) pool.emplace(jobs);
+  engine::run_in_order(
+      pool ? &*pool : nullptr, blocks.size(),
+      [&](std::size_t index) {
+        // Selection happens here, on the calling thread; workers only encode.
+        const ByteView block = blocks[index];
+        const MethodId method =
+            auto_mode ? choose_auto(sampler, block) : fixed_method;
+        return [&registry, block, index, method, best_mode] {
+          return pack_block(registry, block, index, method, best_mode);
+        };
+      },
+      [&](Bytes framed) {
+        ++counts[static_cast<std::uint8_t>(frame_parse(framed).method)];
+        put_varint(out, framed.size());
+        out.insert(out.end(), framed.begin(), framed.end());
+      });
 
   write_file(output, out);
   std::printf("%s: %zu -> %zu bytes (%.1f %%)\n", output.c_str(), data.size(),
