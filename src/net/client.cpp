@@ -71,10 +71,6 @@ void DaemonClient::handle_inbound(Msg msg) {
       wire_crc_.update(msg.payload);
       rx_.push(std::move(msg.payload));
       break;
-    case MsgKind::kControl:
-      // Heartbeat/bye acknowledgements; nothing to do — liveness is the
-      // server's concern, the client just keeps sending proofs.
-      break;
     default:
       throw IoError("unexpected server message: " +
                     std::string(msg_kind_name(msg.kind)));
@@ -90,22 +86,37 @@ std::size_t DaemonClient::decode_available() {
   // Turn the receiver's gap report into a kNack round-trip.
   const auto nacks = receiver->take_nacks();
   if (!nacks.empty() && fd_.valid()) {
-    send_msg(MsgKind::kNack, nack_encode(nacks));
+    send_or_close(MsgKind::kNack, nack_encode(nacks));
   }
   return chunk.size();
 }
 
+bool DaemonClient::send_or_close(MsgKind kind, ByteView payload) {
+  try {
+    send_msg(kind, payload);
+    return true;
+  } catch (const IoError&) {
+    bye();  // the daemon closed the connection
+    return false;
+  }
+}
+
 std::size_t DaemonClient::poll(int timeout_ms) {
-  if (fd_.valid() && session_.connected() && session_.heartbeat_due()) {
-    send_msg(MsgKind::kControl, session_.make_heartbeat());
+  if (fd_.valid() && session_.heartbeat_due() &&
+      send_or_close(MsgKind::kHeartbeat, {})) {
+    session_.heartbeat_sent();
   }
   if (fd_.valid() && wait_readable(fd_.get(), timeout_ms)) {
     // Drain every complete frame currently buffered before decoding once.
     for (;;) {
-      auto frame = recv_message(fd_.get());
+      std::optional<Bytes> frame;
+      try {
+        frame = recv_message(fd_.get());
+      } catch (const IoError&) {
+        // A reset or a torn frame: the connection is as gone as at EOF.
+      }
       if (!frame) {
-        fd_.reset();  // server closed; session state kept for resume()
-        session_.on_dropped();
+        bye();  // the daemon closed; session state kept for resume()
         break;
       }
       handle_inbound(unwrap(*frame));
@@ -130,8 +141,6 @@ std::uint32_t DaemonClient::wire_crc() const noexcept {
 }
 
 void DaemonClient::bye() {
-  if (!fd_.valid()) return;
-  send_msg(MsgKind::kControl, session_.make_bye());
   fd_.reset();
   session_.on_dropped();
 }
@@ -140,8 +149,7 @@ void DaemonClient::drop() {
   // Decode whatever already arrived so resume_from reflects every frame
   // this client actually has — the replay gap starts exactly after it.
   decode_available();
-  fd_.reset();
-  session_.on_dropped();
+  bye();
 }
 
 void DaemonClient::resume(std::uint16_t port) {

@@ -8,7 +8,9 @@
 //
 // Inbound kData frames are queued on an InboundQueue (a Transport whose
 // receive() pops the queue), which is what the SessionClient's receiver
-// drains; decoded payload accumulates in stream().
+// drains; decoded payload accumulates in stream(). Outbound, a heartbeat
+// is an empty kHeartbeat that the daemon applies to this connection's own
+// session, and leaving is closing the socket.
 
 #include <cstdint>
 #include <deque>
@@ -68,7 +70,9 @@ class DaemonClient {
   /// One I/O turn: send a heartbeat if due, flush pending NACKs, wait up
   /// to `timeout_ms` for inbound traffic, drain and decode it. Returns the
   /// number of decoded payload bytes appended to stream() by this call.
-  /// A server close mid-poll marks the client dropped (connected() false).
+  /// A connection the daemon closed or reset — read as EOF, or as a failed
+  /// heartbeat or NACK send — marks the client dropped (connected()
+  /// false) instead of throwing.
   std::size_t poll(int timeout_ms);
 
   /// poll() until stream() holds at least `target_bytes` or `deadline_ms`
@@ -84,12 +88,12 @@ class DaemonClient {
   /// CRC32 over the concatenated raw kData frame bytes, in arrival order.
   std::uint32_t wire_crc() const noexcept;
 
-  /// Orderly departure: send kBye, then close. The daemon parks the
-  /// session immediately.
+  /// Orderly departure: close the connection. The daemon parks the
+  /// session when it reads the EOF.
   void bye();
 
-  /// Abrupt loss — close the socket WITHOUT a bye, as a killed process
-  /// would. Session state (cursor, gaps) is kept for resume().
+  /// Abrupt loss, as a killed process would: decode what already arrived,
+  /// then close. Session state (cursor, gaps) is kept for resume().
   void drop();
 
   /// Reconnect to `port` and resume the session from the receiver's
@@ -103,6 +107,9 @@ class DaemonClient {
   void handle_inbound(Msg msg);
   std::size_t decode_available();
   void send_msg(MsgKind kind, ByteView payload);
+  /// send_msg on the session's connection; false (and closed) when the
+  /// daemon has closed it.
+  bool send_or_close(MsgKind kind, ByteView payload);
 
   DaemonClientConfig config_;
   MonotonicClock clock_;

@@ -1,7 +1,9 @@
 #include "net/daemon.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -261,7 +263,7 @@ bool Daemon::parse_frames(Connection& conn) {
       }
       alive = false;
     } catch (const Error&) {
-      close_connection(fd);  // e.g. corrupt control message
+      close_connection(fd);  // any other typed failure
       alive = false;
     }
     if (!alive) return false;
@@ -290,11 +292,15 @@ bool Daemon::handle_message(Connection& conn, const Msg& msg) {
     return handle_hello(conn, msg.payload);
   }
   switch (msg.kind) {
-    case MsgKind::kControl: {
-      const Bytes ack = manager_.handle_control(msg.payload);
-      enqueue(conn, MsgKind::kControl, ack);
+    case MsgKind::kHeartbeat:
+      if (!msg.payload.empty()) {
+        close_connection(conn.fd.get());  // a heartbeat carries no bytes
+        return false;
+      }
+      // A parked or expired session fails here; sweep() ends its
+      // connection.
+      manager_.heartbeat(conn.session_id, conn.token);
       return true;
-    }
     case MsgKind::kNack: {
       const auto sequences = nack_decode(msg.payload);
       manager_.retransmit(conn.session_id, sequences);
@@ -324,8 +330,21 @@ bool Daemon::handle_hello(Connection& conn, ByteView payload) {
                                         offer.resume_from, conn);
     switch (result.status) {
       case session::ResumeResult::Status::kResumed: {
+        // The session lives on this connection now. The one it left, if
+        // still open, closes without parking it.
+        const auto left = std::find_if(
+            connections_.begin(), connections_.end(), [&](const auto& entry) {
+              return entry.second->streaming &&
+                     entry.second->session_id == offer.resume_session;
+            });
+        if (left != connections_.end()) {
+          left->second->streaming = false;
+          streaming_count_.fetch_sub(1, std::memory_order_relaxed);
+          close_connection(left->first);
+        }
         conn.streaming = true;
         conn.session_id = offer.resume_session;
+        conn.token = offer.resume_token;
         streaming_count_.fetch_add(1, std::memory_order_relaxed);
         handshakes_.fetch_add(1, std::memory_order_relaxed);
         net_metrics().handshakes.add();
@@ -364,6 +383,7 @@ bool Daemon::handle_hello(Connection& conn, ByteView payload) {
   }
   conn.streaming = true;
   conn.session_id = result.session_id;
+  conn.token = result.token;
   negotiated_[result.session_id] = params;
   streaming_count_.fetch_add(1, std::memory_order_relaxed);
   handshakes_.fetch_add(1, std::memory_order_relaxed);
@@ -431,8 +451,8 @@ void Daemon::close_connection(int fd) {
   Connection& conn = *it->second;
   loop_.remove(fd);
   if (conn.streaming) {
-    // Abrupt loss or post-reject teardown: park the session (liveness
-    // machinery would get there anyway) so a reconnect can resume it.
+    // A closed connection is the bye, orderly or not: park its session so
+    // a reconnect can resume it.
     manager_.disconnect(conn.session_id);
     streaming_count_.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -511,10 +531,21 @@ void Daemon::sweep(Seconds now) {
     if (!conn->streaming && !conn->closing &&
         now - conn->opened_at > config_.handshake_timeout) {
       drop.push_back(fd);  // half-open: never sent a valid hello
-    } else if (conn->streaming &&
-               manager_.state(conn->session_id) ==
-                   session::SessionState::kExpired) {
-      drop.push_back(fd);
+    } else if (conn->streaming) {
+      const session::SessionState state = manager_.state(conn->session_id);
+      if (state == session::SessionState::kExpired) {
+        drop.push_back(fd);
+      } else if (state == session::SessionState::kParked &&
+                 !conn->half_closed && conn->pending() == 0) {
+        // Parked for silence: the session streams here no more. A FIN
+        // behind the frames already written lets the client read them
+        // all, then EOF, and resume; the connection closes when the
+        // client closes its end. close() would instead reset the
+        // connection, dropping frames still in the kernel, as soon as
+        // the client's next heartbeat arrived.
+        ::shutdown(fd, SHUT_WR);
+        conn->half_closed = true;
+      }
     }
   }
   for (const int fd : drop) close_connection(fd);

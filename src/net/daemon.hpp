@@ -11,9 +11,17 @@
 // A connection's life: accepted -> handshake (first frame must be a
 // kHello offer, answered with kWelcome or a typed kReject) -> streaming
 // (its session's egress queue drains into the connection's outbuf, which
-// flushes on writability; inbound kControl/kNack/kStatRequest traffic is
-// serviced in place) -> closed (EOF, error, or reject flush), which parks
-// the session so a later connection can resume it byte-identically.
+// flushes on writability; inbound kHeartbeat/kNack/kStatRequest traffic
+// is serviced in place) -> closed (EOF, error, or reject flush), which
+// parks the session so a later connection can resume it byte-identically.
+//
+// A session is bound to exactly one connection. Heartbeats and NACKs act
+// on the connection's own session, checked against the token it was
+// issued; a client leaves by closing the connection. A successful resume
+// moves the session to the resuming connection and closes the one it
+// left without parking it. When a session is parked for silence, the
+// sweep sends a FIN behind the frames already written, so its client reads
+// them, then EOF, and resumes; an expired session's connection closes.
 
 #include <atomic>
 #include <cstdint>
@@ -150,9 +158,11 @@ class Daemon {
     ScopedFd fd;
     bool streaming = false;     ///< handshake completed
     bool closing = false;       ///< flush outbuf, then close
+    bool half_closed = false;   ///< session parked: FIN sent, reads open
     bool want_write = false;    ///< current loop interest
     Seconds opened_at = 0;
     session::SessionId session_id = 0;
+    std::uint64_t token = 0;    ///< issued at welcome or resume
     Bytes in_;                  ///< unparsed inbound bytes
     Bytes out_;                 ///< unflushed outbound bytes
     std::size_t out_pos_ = 0;   ///< flushed prefix of out_

@@ -29,7 +29,7 @@ std::string_view msg_kind_name(MsgKind kind) noexcept {
     case MsgKind::kWelcome: return "welcome";
     case MsgKind::kReject: return "reject";
     case MsgKind::kData: return "data";
-    case MsgKind::kControl: return "control";
+    case MsgKind::kHeartbeat: return "heartbeat";
     case MsgKind::kNack: return "nack";
     case MsgKind::kStatRequest: return "stat-request";
     case MsgKind::kStatReply: return "stat-reply";

@@ -8,11 +8,14 @@
 //   kWelcome  server -> client  welcome_encode (session + negotiated params)
 //   kReject   server -> client  reject_encode (typed status + reason)
 //   kData     server -> client  one compressed frame, verbatim
-//   kControl  both directions   session::control_encode bytes (heartbeat,
-//                               bye, and their acknowledgements)
+//   kHeartbeat  client -> server  empty; proves the connection's own
+//                                 session live (never acknowledged)
 //   kNack     client -> server  nack_encode (sequences to replay)
 //   kStatRequest  client -> server  empty; needs no kHello, opens no session
 //   kStatReply    server -> client  obs::to_json_lines of the global registry
+//
+// There is no bye: a client leaves by closing its connection, which parks
+// the session bound to it.
 
 #include <cstdint>
 #include <string>
@@ -29,7 +32,7 @@ enum class MsgKind : std::uint8_t {
   kWelcome = 2,
   kReject = 3,
   kData = 4,
-  kControl = 5,
+  kHeartbeat = 5,
   kNack = 6,
   kStatRequest = 7,
   kStatReply = 8,
@@ -39,7 +42,7 @@ std::string_view msg_kind_name(MsgKind kind) noexcept;
 
 /// One decoded daemon message. `payload` is the bytes after the kind byte.
 struct Msg {
-  MsgKind kind = MsgKind::kControl;
+  MsgKind kind = MsgKind::kHeartbeat;
   Bytes payload;
 };
 
@@ -52,8 +55,8 @@ Bytes wrap(MsgKind kind, ByteView payload);
 Msg unwrap(ByteView frame);
 
 /// The server's answer to an accepted kHello: the session credentials the
-/// client heartbeats/resumes with, plus the negotiated parameter set it
-/// must configure its receiver around.
+/// client resumes with, plus the negotiated parameter set it must
+/// configure its receiver around.
 struct Welcome {
   std::uint64_t session_id = 0;
   std::uint64_t token = 0;

@@ -198,6 +198,13 @@ struct ChaosSoak {
     }
   }
 
+  /// The same call acexd makes for a connection's own session.
+  bool heartbeat(Peer& peer) {
+    peer.client->heartbeat_sent();
+    ++report.heartbeats;
+    return manager.heartbeat(peer.sid, peer.client->token());
+  }
+
   bool all_done() const {
     for (const auto& peer : peers) {
       if (!peer->alive || peer->kills < config.min_kills) return false;
@@ -222,12 +229,7 @@ struct ChaosSoak {
     for (auto& peer : peers) {
       if (!peer->client) continue;  // connect refused (already a violation)
       if (peer->alive) {
-        const Bytes reply = manager.handle_control(peer->client->make_heartbeat());
-        const session::ControlMsg ack = session::control_decode(reply);
-        if (ack.kind != session::ControlKind::kHeartbeat) {
-          violate("chaos: live heartbeat not acknowledged: " + ack.reason);
-        }
-        ++report.heartbeats;
+        if (!heartbeat(*peer)) violate("chaos: live heartbeat rejected");
         pump_and_drain(*peer);
         nack_cycle(*peer, 2);
       } else {
@@ -266,8 +268,7 @@ struct ChaosSoak {
     for (auto& peer : peers) {
       if (!peer->client) continue;  // connect refused (already a violation)
       // Keep heartbeating so the settle passes below never race a park.
-      manager.handle_control(peer->client->make_heartbeat());
-      ++report.heartbeats;
+      heartbeat(*peer);
       pump_and_drain(*peer);
       if (!nack_cycle(*peer, 4)) {
         violate("chaos: NACK traffic did not converge on a healed link");

@@ -59,7 +59,7 @@ struct ChaosReport {
   std::uint64_t restarts = 0;    ///< expired/evicted -> fresh session
   std::uint64_t expired = 0;     ///< sessions that overstayed the grace
   std::uint64_t delivered = 0;   ///< unique CRC-verified frames, all peers
-  std::uint64_t heartbeats = 0;  ///< control round-trips exercised
+  std::uint64_t heartbeats = 0;  ///< heartbeats sent
 
   /// Human-readable invariant violations; empty means the chaos passed.
   std::vector<std::string> violations;

@@ -59,19 +59,6 @@ MemoryBudget::MemoryBudget(BudgetConfig config) : config_(config) {
       static_cast<std::int64_t>(config_.limit_bytes));
 }
 
-void MemoryBudget::add_probe(std::string name,
-                             std::function<std::size_t()> probe) {
-  if (!probe) throw ConfigError("budget: probe must be callable");
-  std::lock_guard<std::mutex> lock(mutex_);
-  probes_[std::move(name)] = std::move(probe);
-}
-
-void MemoryBudget::remove_probe(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = probes_.find(name);
-  if (it != probes_.end()) probes_.erase(it);
-}
-
 double MemoryBudget::enter_fraction(DegradationStage stage) const noexcept {
   switch (stage) {
     case DegradationStage::kNormal: return 0;
@@ -95,7 +82,8 @@ DegradationStage MemoryBudget::target_for(double fraction) const noexcept {
   return target;
 }
 
-DegradationStage MemoryBudget::walk_locked(std::size_t used_bytes) {
+DegradationStage MemoryBudget::refresh_with(std::size_t used_bytes) {
+  std::lock_guard<std::mutex> lock(mutex_);
   used_bytes_ = used_bytes;
   const double fraction = static_cast<double>(used_bytes) /
                           static_cast<double>(config_.limit_bytes);
@@ -119,18 +107,6 @@ DegradationStage MemoryBudget::walk_locked(std::size_t used_bytes) {
   budget_metrics().used_bytes.set(static_cast<std::int64_t>(used_bytes_));
   budget_metrics().stage.set(static_cast<std::int64_t>(stage_));
   return stage_;
-}
-
-DegradationStage MemoryBudget::refresh() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t used = 0;
-  for (const auto& [name, probe] : probes_) used += probe();
-  return walk_locked(used);
-}
-
-DegradationStage MemoryBudget::refresh_with(std::size_t used_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return walk_locked(used_bytes);
 }
 
 DegradationStage MemoryBudget::stage() const {

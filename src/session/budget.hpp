@@ -1,10 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <mutex>
-#include <string>
 #include <string_view>
 
 namespace acex::session {
@@ -25,7 +23,7 @@ enum class DegradationStage {
 std::string_view stage_name(DegradationStage stage) noexcept;
 
 struct BudgetConfig {
-  /// Process-wide envelope the probes are measured against.
+  /// Process-wide envelope the measured usage is held against.
   std::size_t limit_bytes = 64 * 1024 * 1024;
 
   /// Stage entry thresholds as fractions of limit_bytes, strictly
@@ -45,25 +43,16 @@ struct BudgetConfig {
 };
 
 /// Process-wide memory accounting with hysteresis-guarded degradation.
-/// Subsystems register probes (egress queues, retransmit rings, reorder
-/// windows, parked-session state); refresh() sums them and walks the
-/// ladder: escalation is immediate (overload must not wait), recovery is
-/// damped by the hysteresis margin. Thread-safe.
+/// The caller measures usage (SessionManager hands it the broker's egress
+/// queues and retransmit rings, live and parked) and refresh_with() walks
+/// the ladder: escalation is immediate (overload must not wait), recovery
+/// is damped by the hysteresis margin. Thread-safe.
 class MemoryBudget {
  public:
   explicit MemoryBudget(BudgetConfig config = {});
 
-  /// Register/replace a named usage probe. Probes are called under the
-  /// budget lock — they must not call back into the budget.
-  void add_probe(std::string name, std::function<std::size_t()> probe);
-  void remove_probe(std::string_view name);
-
-  /// Poll every probe and walk the ladder; returns the (possibly new)
+  /// Walk the ladder against `used_bytes`; returns the (possibly new)
   /// stage.
-  DegradationStage refresh();
-
-  /// Ladder walk against an externally measured usage — tests and callers
-  /// that already hold the total.
   DegradationStage refresh_with(std::size_t used_bytes);
 
   DegradationStage stage() const;
@@ -74,11 +63,9 @@ class MemoryBudget {
  private:
   double enter_fraction(DegradationStage stage) const noexcept;
   DegradationStage target_for(double fraction) const noexcept;
-  DegradationStage walk_locked(std::size_t used_bytes);
 
   BudgetConfig config_;
   mutable std::mutex mutex_;
-  std::map<std::string, std::function<std::size_t()>, std::less<>> probes_;
   DegradationStage stage_ = DegradationStage::kNormal;
   std::size_t used_bytes_ = 0;
   std::uint64_t stage_changes_ = 0;

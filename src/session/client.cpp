@@ -49,22 +49,8 @@ bool SessionClient::heartbeat_due() const {
   return connected_ && heartbeat_due_.expired(*clock_);
 }
 
-Bytes SessionClient::make_heartbeat() {
+void SessionClient::heartbeat_sent() {
   heartbeat_due_.extend(*clock_, heartbeat_interval_);
-  ControlMsg msg;
-  msg.kind = ControlKind::kHeartbeat;
-  msg.session_id = session_id_;
-  msg.token = token_;
-  return control_encode(msg);
-}
-
-Bytes SessionClient::make_bye() const {
-  ControlMsg msg;
-  msg.kind = ControlKind::kBye;
-  msg.session_id = session_id_;
-  msg.token = token_;
-  msg.reason = "bye";
-  return control_encode(msg);
 }
 
 }  // namespace acex::session

@@ -7,14 +7,13 @@
 #include "adaptive/pipeline.hpp"
 #include "session/deadline.hpp"
 #include "session/reconnect.hpp"
-#include "session/wire.hpp"
 #include "util/clock.hpp"
 
 namespace acex::session {
 
 struct ClientConfig {
   ReconnectConfig reconnect;
-  /// Cadence of make_heartbeat(); the server's advisory interval from
+  /// Heartbeat cadence; the server's advisory interval from
   /// ConnectResult normally overwrites this at on_connected().
   Seconds heartbeat_interval = 0.5;
   adaptive::ReceiverConfig receiver{adaptive::RecoveryPolicy::kNack};
@@ -23,8 +22,9 @@ struct ClientConfig {
 /// The subscriber's half of a durable session: owns the AdaptiveReceiver
 /// (whose sequence cursor IS the resume cursor), schedules heartbeats on a
 /// Deadline, and paces reconnect attempts through a ReconnectPolicy. The
-/// harness/app drives it: this class builds control messages and tracks
-/// state but never touches a socket itself.
+/// harness/app drives it: this class tracks state but never touches a
+/// socket itself — the caller sends each due heartbeat and reports it
+/// with heartbeat_sent().
 class SessionClient {
  public:
   explicit SessionClient(const Clock& clock, ClientConfig config = {},
@@ -56,11 +56,8 @@ class SessionClient {
   /// True when the heartbeat schedule says one is due (connected only).
   bool heartbeat_due() const;
 
-  /// Build one wire-encoded heartbeat and re-arm the schedule.
-  Bytes make_heartbeat();
-
-  /// Build a wire-encoded orderly-departure notice.
-  Bytes make_bye() const;
+  /// A heartbeat went out: re-arm the schedule.
+  void heartbeat_sent();
 
   bool connected() const noexcept { return connected_; }
   std::uint64_t session_id() const noexcept { return session_id_; }

@@ -70,14 +70,6 @@ SessionManager::SessionManager(const Clock& clock, ManagerConfig config)
       budget_(config_.budget),
       token_rng_(config_.token_seed) {
   session_metrics();  // an idle manager still exports every acex.session.*
-  // The budget sees exactly what the broker holds: every subscriber's
-  // queued egress frames plus its retransmit ring — live AND parked, which
-  // is what makes parked state a first-class citizen of the envelope.
-  // Share-aware: N queues and rings retaining views of ONE shared-encode
-  // buffer (or shm slab) charge it once, so zero-copy fan-out cannot
-  // falsely trip the overload ladder (DESIGN.md §16).
-  budget_.add_probe("broker",
-                    [this] { return broker_.memory_usage_unique(); });
 }
 
 SessionManager::~SessionManager() = default;
@@ -258,7 +250,14 @@ TickReport SessionManager::tick() {
 void SessionManager::publish(ByteView block) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    apply_stage_locked(budget_.refresh());
+    // The budget sees exactly what the broker holds: every subscriber's
+    // queued egress frames plus its retransmit ring — live AND parked,
+    // which is what makes parked state a first-class citizen of the
+    // envelope. Share-aware: N queues and rings retaining views of ONE
+    // shared-encode buffer (or shm slab) charge it once, so zero-copy
+    // fan-out cannot falsely trip the overload ladder (DESIGN.md §16).
+    apply_stage_locked(
+        budget_.refresh_with(broker_.memory_usage_unique()));
   }
   // Broker locks are taken strictly after (never inside) the manager's.
   broker_.publish(block);
@@ -318,31 +317,6 @@ void SessionManager::set_gauges_locked() {
   }
   session_metrics().live.set(live);
   session_metrics().parked.set(parked);
-}
-
-Bytes SessionManager::handle_control(ByteView wire) {
-  const ControlMsg msg = control_decode(wire);
-  ControlMsg reply;
-  reply.session_id = msg.session_id;
-  switch (msg.kind) {
-    case ControlKind::kHeartbeat:
-      if (heartbeat(msg.session_id, msg.token)) {
-        reply.kind = ControlKind::kHeartbeat;
-      } else {
-        reply.kind = ControlKind::kResumeFail;
-        reply.reason = "heartbeat rejected: session not live";
-      }
-      break;
-    case ControlKind::kBye:
-      disconnect(msg.session_id);
-      reply.kind = ControlKind::kBye;
-      break;
-    default:
-      reply.kind = ControlKind::kResumeFail;
-      reply.reason = "hello/resume require a transport binding";
-      break;
-  }
-  return control_encode(reply);
 }
 
 std::size_t SessionManager::pump(SessionId id) {

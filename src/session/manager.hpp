@@ -10,7 +10,6 @@
 #include "broker/broker.hpp"
 #include "session/budget.hpp"
 #include "session/deadline.hpp"
-#include "session/wire.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
 
@@ -122,8 +121,11 @@ class SessionManager {
   /// must resume()), expired, or unknown sessions and bad tokens.
   bool heartbeat(SessionId id, std::uint64_t token);
 
-  /// Orderly departure (kBye): park immediately, skipping suspect. The
-  /// grace window still applies, so a quick reconnect resumes cleanly.
+  /// The session's connection closed: park immediately, skipping
+  /// suspect. The grace window still applies, so a quick reconnect
+  /// resumes cleanly. It takes no token, so only the holder of the
+  /// session's connection may call it (acexd binds each session to one
+  /// connection, DESIGN.md §13).
   bool disconnect(SessionId id);
 
   /// Re-attach on a (new) transport, replaying `[resume_from, head)` so
@@ -141,12 +143,6 @@ class SessionManager {
   /// Refresh the memory budget, apply the (possibly new) ladder stage,
   /// and publish one block to every non-expired session.
   void publish(ByteView block);
-
-  /// Handle a wire-encoded control message that needs no transport —
-  /// kHeartbeat and kBye — and return the wire-encoded acknowledgement.
-  /// kHello/kResume carry a transport binding and must go through
-  /// connect()/resume(); they are answered with kResumeFail here.
-  Bytes handle_control(ByteView wire);
 
   /// Delivery pumps and NACK service, addressed by session id.
   std::size_t pump(SessionId id);

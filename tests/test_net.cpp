@@ -23,6 +23,7 @@
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/varint.hpp"
 
 namespace acex::net {
 namespace {
@@ -855,6 +856,98 @@ TEST(NetDaemon, KilledClientResumesByteIdentically) {
   EXPECT_EQ(daemon.manager().counters().resumes, 1u);
 }
 
+/// The kBye that acexd's retired session control wire carried, naming
+/// `session_id` with no token: kind byte 5, then magic 0xA5, kind 7, the
+/// varint session id, zero token, resume_from and reason length, and a
+/// CRC-32 (LE) of all of it.
+Bytes retired_control_bye(std::uint64_t session_id) {
+  Bytes body = {0xA5, 7};
+  put_varint(body, session_id);
+  body.insert(body.end(), {0, 0, 0});
+  const std::uint32_t crc = crc32(body);
+  for (int shift = 0; shift < 32; shift += 8) {
+    body.push_back(static_cast<std::uint8_t>(crc >> shift));
+  }
+  return wrap(MsgKind::kHeartbeat, body);
+}
+
+/// Returns once the daemon's loop has handled everything that was ready
+/// when it was called: the second of two stat round trips is read in a
+/// later loop turn than the one that answered the first.
+void sync_with_loop(std::uint16_t port) {
+  ScopedFd probe(connect_loopback(port));
+  for (int i = 0; i < 2; ++i) {
+    send_message(probe.get(), wrap(MsgKind::kStatRequest, {}));
+    ASSERT_TRUE(recv_message(probe.get()).has_value());
+  }
+}
+
+TEST(NetDaemon, ForeignByeClosesOnlyItsSender) {
+  // A heartbeat acts on its own connection's session. A handshaken peer
+  // that sends the retired tokenless kBye naming another client's session
+  // loses its own connection, and the other client keeps streaming.
+  Daemon daemon(quick_daemon_config());
+  daemon.start();
+  DaemonClientConfig cfg;
+  cfg.offer = deterministic_offer({MethodId::kHuffman, MethodId::kNone});
+  DaemonClient victim(daemon.port(), cfg);
+  const std::uint64_t session = victim.session().session_id();
+
+  ScopedFd peer(connect_loopback(daemon.port()));
+  send_message(peer.get(),
+               wrap(MsgKind::kHello, offer_encode(CompressionOffer{})));
+  const auto welcome = recv_message(peer.get());
+  ASSERT_TRUE(welcome.has_value());
+  ASSERT_EQ(unwrap(*welcome).kind, MsgKind::kWelcome);
+  send_message(peer.get(), retired_control_bye(session));
+  ASSERT_TRUE(wait_readable(peer.get(), 5000));
+  EXPECT_FALSE(recv_message(peer.get()).has_value());  // EOF: closed
+
+  Bytes b = demo_block(4, 0, 4096);
+  const Bytes expected = b;
+  daemon.publish(std::move(b));
+  ASSERT_TRUE(victim.poll_until(expected.size(), 10000));
+  EXPECT_EQ(victim.stream(), expected);
+  EXPECT_EQ(daemon.manager().state(session), session::SessionState::kLive);
+  victim.bye();
+  daemon.stop();
+}
+
+TEST(NetDaemon, ResumeClosesTheConnectionItLeaves) {
+  // The client resumes on a fresh socket while its old one is still open.
+  // The session moves to the fresh connection, so closing the old socket
+  // afterwards must not park it.
+  Daemon daemon(quick_daemon_config());
+  daemon.start();
+  DaemonClientConfig cfg;
+  cfg.offer = deterministic_offer({MethodId::kHuffman, MethodId::kNone});
+  DaemonClient client(daemon.port(), cfg);
+  const std::uint64_t session = client.session().session_id();
+
+  CompressionOffer offer = cfg.offer;
+  offer.resume_session = session;
+  offer.resume_token = client.session().token();
+  offer.resume_from = client.session().resume_from();
+  ScopedFd fresh(connect_loopback(daemon.port()));
+  send_message(fresh.get(), wrap(MsgKind::kHello, offer_encode(offer)));
+  const auto answer = recv_message(fresh.get());
+  ASSERT_TRUE(answer.has_value());
+  const Msg msg = unwrap(*answer);
+  ASSERT_EQ(msg.kind, MsgKind::kWelcome);
+  EXPECT_TRUE(welcome_decode(msg.payload).resumed);
+
+  client.drop();
+  sync_with_loop(daemon.port());
+  EXPECT_EQ(daemon.manager().state(session), session::SessionState::kLive);
+
+  daemon.publish(demo_block(6, 0, 4096));
+  ASSERT_TRUE(wait_readable(fresh.get(), 10000));
+  const auto data = recv_message(fresh.get());
+  ASSERT_TRUE(data.has_value());
+  EXPECT_EQ(unwrap(*data).kind, MsgKind::kData);
+  daemon.stop();
+}
+
 TEST(NetDaemon, ResumeWithBadTokenIsTypedReject) {
   Daemon daemon(quick_daemon_config());
   daemon.start();
@@ -1033,8 +1126,8 @@ TEST(NetClient, HeartbeatsKeepSessionLiveAcrossSilence) {
   EXPECT_EQ(client.stream(), expected);
 
   client.bye();
-  // bye() does not wait for the ack; give the loop a moment to read the
-  // kBye (or the EOF behind it) and park the session before inspecting.
+  // bye() only closes the socket; give the loop a moment to read the EOF
+  // and park the session before inspecting.
   for (int i = 0; i < 100; ++i) {
     if (daemon.manager().state(session) == session::SessionState::kParked) {
       break;
@@ -1080,6 +1173,48 @@ TEST(NetClient, SilentClientGetsParkedNotDropped) {
   ASSERT_TRUE(client.poll_until(expected.size(), 10000));
   EXPECT_EQ(client.stream(), expected);
   client.bye();
+  daemon.stop();
+}
+
+TEST(NetClient, SilenceUntilParkedReadsEofWithoutThrowing) {
+  DaemonConfig config = quick_daemon_config();
+  config.session.park_grace = 30.0;
+  Daemon daemon(config);
+  daemon.start();
+
+  // 3 MiB of frames, more than the kernel buffers for a client that is
+  // not reading: the rest is still in the daemon's outbuf at the park,
+  // which comes 1.5 s after the last heartbeat.
+  std::vector<Bytes> blocks;
+  Bytes expected;
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    blocks.push_back(demo_block(3, i, 64 * 1024));
+    expected.insert(expected.end(), blocks.back().begin(),
+                    blocks.back().end());
+  }
+  DaemonClientConfig cfg;
+  cfg.offer.methods = {MethodId::kNone};
+  cfg.offer.block_size = 64 * 1024;
+  DaemonClient client(daemon.port(), cfg);
+  const std::uint64_t session = client.session().session_id();
+  for (Bytes& block : blocks) daemon.publish(std::move(block));
+
+  for (int i = 0; i < 500; ++i) {
+    if (daemon.manager().state(session) == session::SessionState::kParked) {
+      break;
+    }
+    msleep(10);
+  }
+  ASSERT_EQ(daemon.manager().state(session), session::SessionState::kParked);
+
+  // The daemon flushes what it had written, then closes a parked
+  // session's connection. The client reads every frame and then the EOF,
+  // and a heartbeat into the closed socket is a drop, never an exception.
+  for (int i = 0; i < 200 && client.connected(); ++i) {
+    ASSERT_NO_THROW(client.poll(50));
+  }
+  EXPECT_FALSE(client.connected());
+  EXPECT_TRUE(client.stream() == expected);
   daemon.stop();
 }
 

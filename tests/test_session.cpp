@@ -11,7 +11,6 @@
 #include "session/deadline.hpp"
 #include "session/manager.hpp"
 #include "session/reconnect.hpp"
-#include "session/wire.hpp"
 #include "testdata.hpp"
 #include "transport/sim_transport.hpp"
 #include "util/error.hpp"
@@ -181,18 +180,6 @@ TEST(SessionBudget, DeEscalationWaitsForTheMarginOfTheCurrentStage) {
   EXPECT_EQ(budget.refresh_with(100), DegradationStage::kNormal);
 }
 
-TEST(SessionBudget, SumsProbesOnRefresh) {
-  MemoryBudget budget(thousand_byte_budget());
-  budget.add_probe("a", [] { return std::size_t{400}; });
-  budget.add_probe("b", [] { return std::size_t{300}; });
-  EXPECT_EQ(budget.refresh(), DegradationStage::kCheaperCodec);
-  EXPECT_EQ(budget.used_bytes(), 700u);
-  budget.remove_probe("b");
-  EXPECT_EQ(budget.refresh(), DegradationStage::kNormal);
-  EXPECT_EQ(budget.used_bytes(), 400u);
-  EXPECT_THROW(budget.add_probe("bad", nullptr), ConfigError);
-}
-
 TEST(SessionBudget, RejectsDegenerateConfig) {
   BudgetConfig bad;
   bad.limit_bytes = 0;
@@ -203,44 +190,6 @@ TEST(SessionBudget, RejectsDegenerateConfig) {
   bad = BudgetConfig{};
   bad.hysteresis = bad.enter_cheaper;  // would allow negative floor
   EXPECT_THROW(MemoryBudget{bad}, ConfigError);
-}
-
-// ------------------------------------------------------------------ wire
-
-TEST(SessionWire, RoundTripsEveryField) {
-  ControlMsg msg;
-  msg.kind = ControlKind::kResume;
-  msg.session_id = 0x1234567890ull;
-  msg.token = ~0ull;
-  msg.resume_from = 77;
-  msg.reason = "rejoining after a partition";
-  EXPECT_EQ(control_decode(control_encode(msg)), msg);
-
-  ControlMsg plain;  // defaults round-trip too
-  EXPECT_EQ(control_decode(control_encode(plain)), plain);
-}
-
-TEST(SessionWire, RejectsTruncationBadMagicAndBitFlips) {
-  ControlMsg msg;
-  msg.kind = ControlKind::kResumeFail;
-  msg.session_id = 9;
-  msg.reason = "gap evicted";
-  const Bytes wire = control_encode(msg);
-
-  EXPECT_THROW(control_decode(ByteView{}), DecodeError);
-  EXPECT_THROW(
-      control_decode(ByteView(wire.data(), wire.size() - 1)), DecodeError);
-
-  Bytes bad_magic = wire;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_THROW(control_decode(bad_magic), DecodeError);
-
-  // Any single bit flip must fail the CRC.
-  for (std::size_t i = 1; i < wire.size(); ++i) {
-    Bytes flipped = wire;
-    flipped[i] ^= 0x01;
-    EXPECT_THROW(control_decode(flipped), DecodeError) << "byte " << i;
-  }
 }
 
 // ------------------------------------------------------------- lifecycle
@@ -329,37 +278,6 @@ TEST(SessionLifecycle, RejectsBadTokensAndUnknownIds) {
   EXPECT_EQ(r.status, ResumeResult::Status::kRejected);
   EXPECT_FALSE(r.reason.empty());
   EXPECT_EQ(manager.counters().resumes, 0u);
-}
-
-TEST(SessionLifecycle, ControlPathAnswersHeartbeatAndBye) {
-  VirtualClock clock;
-  SessionManager manager(clock);
-  SinkTransport sink;
-  const ConnectResult cr = manager.connect(sink, quick_session());
-
-  ControlMsg hb;
-  hb.kind = ControlKind::kHeartbeat;
-  hb.session_id = cr.session_id;
-  hb.token = cr.token;
-  ControlMsg ack = control_decode(manager.handle_control(control_encode(hb)));
-  EXPECT_EQ(ack.kind, ControlKind::kHeartbeat);
-
-  hb.token = cr.token + 1;  // bad credential: typed refusal, not silence
-  ack = control_decode(manager.handle_control(control_encode(hb)));
-  EXPECT_EQ(ack.kind, ControlKind::kResumeFail);
-
-  ControlMsg bye;
-  bye.kind = ControlKind::kBye;
-  bye.session_id = cr.session_id;
-  ack = control_decode(manager.handle_control(control_encode(bye)));
-  EXPECT_EQ(ack.kind, ControlKind::kBye);
-  EXPECT_EQ(manager.state(cr.session_id), SessionState::kParked);
-
-  // kResume cannot ride the transportless path.
-  ControlMsg res;
-  res.kind = ControlKind::kResume;
-  ack = control_decode(manager.handle_control(control_encode(res)));
-  EXPECT_EQ(ack.kind, ControlKind::kResumeFail);
 }
 
 // ---------------------------------------------------------------- resume

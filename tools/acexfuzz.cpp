@@ -613,7 +613,7 @@ std::vector<HandshakeTarget> handshake_targets(std::uint64_t seed) {
                      &metrics_fixpoint, /*json=*/true});
 
   targets.push_back(
-      {"msg", net::wrap(net::MsgKind::kControl, net::offer_encode(fresh)),
+      {"msg", net::wrap(net::MsgKind::kHello, net::offer_encode(fresh)),
        &msg_fixpoint});
   return targets;
 }

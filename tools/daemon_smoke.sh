@@ -3,8 +3,9 @@
 # port, attach SUBS loopback acexctl subscribers with heterogeneous
 # negotiated parameters, kill one mid-stream and resume it, and demand
 # that every subscriber verifies every demo block byte-identically, that
-# an `acexctl stat` probe of the loaded daemon reads SUBS + 1 handshakes
-# and no rejects, and that the daemon shuts down clean.
+# an `acexctl stat` probe of the loaded daemon reads SUBS + 1 handshakes,
+# no rejects, one session resume and no restart, and that the daemon
+# shuts down clean.
 #
 # Environment / arguments:
 #   ACEXD, ACEXCTL  paths to the binaries (required)
@@ -77,13 +78,19 @@ for idx in "${!pids[@]}"; do
 done
 
 # Probe the loaded daemon. The probe sends no hello, so it must not count
-# as a handshake: one per subscriber plus the victim's resume.
+# as a handshake: one per subscriber plus the victim's resume. The resume
+# moved the victim's session to its new connection, so whichever of the
+# resume and the old connection's close the daemon read first, the session
+# was resumed once and never restarted.
 "$ACEXCTL" stat --port "$PORT" > "$d/stat.log" 2>&1 ||
   { echo "FAIL: acexctl stat"; cat "$d/stat.log"; exit 1; }
 series() { awk -v name="$1" '$2 == name { print $3 }' "$d/stat.log"; }
 [ "$(series acex.net.handshakes)" = "$((SUBS + 1))" ] &&
-  [ "$(series acex.net.rejects)" = "0" ] ||
-  { echo "FAIL: stat probe wants handshakes=$((SUBS + 1)) rejects=0:";
+  [ "$(series acex.net.rejects)" = "0" ] &&
+  [ "$(series acex.session.resumes)" = "1" ] &&
+  [ "$(series acex.session.restarts)" = "0" ] ||
+  { echo "FAIL: stat probe wants handshakes=$((SUBS + 1)) rejects=0" \
+         "resumes=1 restarts=0:";
     cat "$d/stat.log"; exit 1; }
 
 kill -TERM "$DPID"
